@@ -47,19 +47,10 @@ from .errors import (
     StabilityError,
     UnsupportedNetworkError,
 )
-from .grid import (
-    Field,
-    Grid2D,
-    Grid3D,
-    TransportParams,
-    make_grid2d,
-    make_grid3d,
-    sample_initial_2d,
-    zero_dirichlet,
-)
-from .snapshots import SnapshotSeries, snapshot_steps
-from .solver2d import Stability2D, run2d, stability2d, step2d
-from .solver3d import Stability3D, run3d, stability3d, step3d
+from .grid import Field, Grid, TransportParams, sample_initial_2d, zero_dirichlet
+from .snapshots import SnapshotSeries, Stability, snapshot_steps
+from .solver2d import run2d, stability2d, step2d
+from .solver3d import run3d, stability3d, step3d
 
 __all__ = [
     "AdrLabError",
@@ -68,8 +59,7 @@ __all__ = [
     "DivergenceError",
     "ErrorReport",
     "Field",
-    "Grid2D",
-    "Grid3D",
+    "Grid",
     "InputError",
     "NumericError",
     "PhotolysisK1",
@@ -77,8 +67,7 @@ __all__ = [
     "ReactionNetwork",
     "SeriesSolution",
     "SnapshotSeries",
-    "Stability2D",
-    "Stability3D",
+    "Stability",
     "StabilityError",
     "TrajectoryLog",
     "TransportParams",
@@ -93,8 +82,6 @@ __all__ = [
     "eval_series",
     "fourier_coefficient",
     "l2_norm",
-    "make_grid2d",
-    "make_grid3d",
     "max_error_vs_analytic",
     "max_pairwise_distance",
     "ozone_network",

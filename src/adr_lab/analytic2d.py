@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, InputError, NumericError
-from .grid import Field, Grid2D, zero_dirichlet
+from .grid import Field, Grid, zero_dirichlet
 
 __all__ = [
     "SeriesSolution",
@@ -184,17 +184,17 @@ def eval_series(sol: SeriesSolution, t: float, x: float, y: float) -> float:
     return value
 
 
-def sample_series(sol: SeriesSolution, grid: Grid2D, t: float) -> Field:
+def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     """Sample the series at every grid node; boundary exactly zero.
 
     The grid must cover the unit square: the series derivation hardwires
     [0,1]x[0,1].  Accumulates whole-grid terms in the fixed summation order,
     which matches eval_series node by node up to the shared growth factor.
     """
-    if not (math.isclose(grid.Lx, 1.0) and math.isclose(grid.Ly, 1.0)):
+    if not all(math.isclose(L, 1.0) for L in grid.lengths):
         raise ConfigurationError(
             f"series solution is defined on the unit square; "
-            f"grid extents are ({grid.Lx}, {grid.Ly})"
+            f"grid extents are {grid.lengths}"
         )
     if t < 0:
         raise InputError(f"series evaluation requires t >= 0, got {t}")

@@ -45,18 +45,11 @@ from .diagnostics import (
     max_error_vs_analytic,
     positivity_check,
 )
-from .errors import (
-    AdrLabError,
-    ConfigurationError,
-    DivergenceError,
-    InputError,
-    NumericError,
-    StabilityError,
-    UnsupportedNetworkError,
-)
-from .grid import Field, TransportParams, make_grid2d, make_grid3d, sample_initial_2d, zero_dirichlet
-from .solver2d import run2d, stability2d
-from .solver3d import DEFAULT_ALPHA, run3d, stability3d
+from .errors import AdrLabError, ConfigurationError
+from .grid import Field, Grid, TransportParams, sample_initial_2d, zero_dirichlet
+from .snapshots import step_count
+from .solver2d import run2d
+from .solver3d import DEFAULT_ALPHA, run3d
 
 MODES = ("analytic2d", "simulate2d", "simulate3d", "compare", "converge", "trajectories")
 
@@ -92,7 +85,7 @@ class RunConfig:
 
     mode: str
     raw: dict
-    grid: object = None
+    grid: Grid | None = None
     transport: TransportParams | None = None
     network: ReactionNetwork | None = None
     dt: float = 0.0
@@ -114,19 +107,11 @@ class RunConfig:
     unit_factor: float = 1.0
 
 
-def _parse_grid(cfg: dict, mode: str):
+def _parse_grid(cfg: dict, mode: str) -> Grid:
     block = _get(cfg, "grid", "", dict)
-    if mode in ("simulate3d", "trajectories"):
-        return make_grid3d(
-            _get(block, "nx", "grid.", int), _get(block, "ny", "grid.", int),
-            _get(block, "nz", "grid.", int),
-            _get(block, "Lx", "grid.", float), _get(block, "Ly", "grid.", float),
-            _get(block, "Lz", "grid.", float),
-        )
-    return make_grid2d(
-        _get(block, "nx", "grid.", int), _get(block, "ny", "grid.", int),
-        _get(block, "Lx", "grid.", float), _get(block, "Ly", "grid.", float),
-    )
+    axes = "xyz" if mode in ("simulate3d", "trajectories") else "xy"
+    return Grid(tuple(_get(block, f"n{a}", "grid.", int) for a in axes),
+                tuple(_get(block, f"L{a}", "grid.", float) for a in axes))
 
 
 def _parse_transport(cfg: dict, ndim: int) -> TransportParams:
@@ -140,7 +125,7 @@ def _parse_transport(cfg: dict, ndim: int) -> TransportParams:
     return TransportParams(u=tuple(u), k=tuple(k))
 
 
-def _parse_chemistry(cfg: dict, factor: float) -> ReactionNetwork | None:
+def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | None:
     block = cfg.get("chemistry")
     if block is None:
         return None
@@ -185,7 +170,7 @@ def _parse_chemistry(cfg: dict, factor: float) -> ReactionNetwork | None:
         name = _get(src, "species", path, str)
         if name not in index:
             raise ConfigurationError(f"{path}species: unknown species {name!r}")
-        cell = tuple(_get(src, "cell", path, list))
+        cell = grid.interior_cell(_get(src, "cell", path, list), path + "cell")
         rate = _get(src, "rate", path, float) * factor
         sources.append(PointSource(species=index[name], cell=cell, rate=rate))
     return ReactionNetwork(
@@ -222,9 +207,8 @@ def parse_config(path: str | Path) -> RunConfig:
             )
 
     cfg.grid = _parse_grid(raw, mode)
-    ndim = len(cfg.grid.shape)
-    cfg.transport = _parse_transport(raw, ndim)
-    cfg.network = _parse_chemistry(raw, cfg.unit_factor)
+    cfg.transport = _parse_transport(raw, cfg.grid.ndim)
+    cfg.network = _parse_chemistry(raw, cfg.unit_factor, cfg.grid)
 
     tblock = _get(raw, "time", "", dict, required=mode != "analytic2d", default={})
     if tblock:
@@ -233,6 +217,8 @@ def parse_config(path: str | Path) -> RunConfig:
         cfg.t_end = _get(tblock, "t_end", "time.", float, required=False, default=0.0)
         cfg.snapshot_times = _get(tblock, "snapshots", "time.", list,
                                   required=False, default=[])
+    if mode != "analytic2d" and not (cfg.dt > 0):
+        raise ConfigurationError(f"time.dt: must be positive, got {cfg.dt}")
     if not cfg.snapshot_times and mode != "converge":
         cfg.snapshot_times = [cfg.t_end]
 
@@ -247,7 +233,8 @@ def parse_config(path: str | Path) -> RunConfig:
     if iblock:
         cfg.initial_kind = _get(iblock, "kind", "initial.", str)
         if cfg.initial_kind == "point":
-            cfg.initial_cell = tuple(_get(iblock, "cell", "initial.", list))
+            cfg.initial_cell = cfg.grid.interior_cell(
+                _get(iblock, "cell", "initial.", list), "initial.cell")
             cfg.initial_values = [
                 v * cfg.unit_factor
                 for v in _get(iblock, "values", "initial.", list)
@@ -270,7 +257,7 @@ def parse_config(path: str | Path) -> RunConfig:
         cfg.trajectory_spacing = _get(traj, "cell_spacing", "trajectories.", int,
                                       required=False, default=None)
         cells = _get(traj, "cells", "trajectories.", list, required=False, default=None)
-        cfg.trajectory_cells = [tuple(c) for c in cells] if cells else None
+        cfg.trajectory_cells = cells or None
 
     cfg.alpha = _get(raw, "alpha", "", float, required=False, default=DEFAULT_ALPHA)
     conv = raw.get("converge", {})
@@ -370,8 +357,9 @@ def _species_names(cfg: RunConfig) -> list[str]:
 def _initial_field(cfg: RunConfig) -> Field:
     grid = cfg.grid
     if cfg.initial_kind == "sine_product":
+        Lx, Ly = grid.lengths
         return sample_initial_2d(
-            grid, lambda x, y: np.sin(np.pi * x / grid.Lx) * np.sin(np.pi * y / grid.Ly)
+            grid, lambda x, y: np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
         )
     n_species = cfg.network.species_count if cfg.network is not None else 1
     field = Field.zeros(grid, n_species)
@@ -458,7 +446,7 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
     if cells:
         write_csv(out / "trajectories.csv",
                   ["t", "i", "j", "k", *names], log.rows())
-    n_steps = int(np.ceil(cfg.t_end / cfg.dt - 1e-9)) if cfg.t_end > 0 else 0
+    n_steps = step_count(cfg.t_end, cfg.dt)
     updates = cfg.grid.num_cells * initial.species_count * max(n_steps, 1)
     ok, violation = positivity_check(series)
     manifest.finalize(
@@ -506,12 +494,11 @@ def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest,
 
 def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     sol = _build_series_from_cfg(cfg)
-    base_grid = cfg.grid
-    base_dx = base_grid.dx
+    base_dx = cfg.grid.spacing[0]
     levels = []
     for nx in cfg.converge_nx:
-        grid = make_grid2d(nx, nx, base_grid.Lx, base_grid.Ly)
-        dt = cfg.dt * (grid.dx / base_dx) ** 2
+        grid = Grid((nx, nx), cfg.grid.lengths)
+        dt = cfg.dt * (grid.spacing[0] / base_dx) ** 2
         levels.append((grid, dt))
     t = cfg.snapshot_times[-1] if cfg.snapshot_times else cfg.t_end
     order, reports = convergence_order(
@@ -520,7 +507,7 @@ def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     )
     write_csv(out / "convergence.csv",
               ["nx", "dx", "dt", "max_abs_error"],
-              [(g.nx, g.dx, dt, r.max_abs_error)
+              [(g.shape[0], g.spacing[0], dt, r.max_abs_error)
                for (g, dt), r in zip(levels, reports)])
     print(f"measured spatial order: {order:.4f}")
     manifest.finalize("ok", measured_order=order)
@@ -546,22 +533,14 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
             _run_converge(cfg, out, manifest)
         else:  # pragma: no cover - parse_config already rejects unknown modes
             raise ConfigurationError(f"unknown mode {cfg.mode!r}")
-    except StabilityError as exc:
-        manifest.finalize("failed", error=str(exc), stability=exc.report.as_dict())
+    except AdrLabError as exc:
+        manifest.finalize("failed", error=str(exc), **exc.manifest_fields())
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        manifest.finalize("failed", error=str(exc), diverged_at_step=exc.step)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        manifest.finalize("failed", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, InputError, UnsupportedNetworkError) as exc:
-        manifest.finalize("failed", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except Exception as exc:
+        # an unexpected fault still leaves a finalized manifest behind
+        manifest.finalize("failed", error=f"{type(exc).__name__}: {exc}")
+        raise
     return 0
 
 

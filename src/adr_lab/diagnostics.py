@@ -14,7 +14,7 @@ import numpy as np
 from .analytic2d import SeriesSolution, sample_series
 from .chemistry import DbarEstimate
 from .errors import ConfigurationError, StabilityError, UnsupportedNetworkError
-from .grid import Field, Grid2D, TransportParams, sample_initial_2d
+from .grid import Field, TransportParams, sample_initial_2d
 from .snapshots import SnapshotSeries
 
 __all__ = [
@@ -50,7 +50,7 @@ class ErrorReport:
 def max_error_vs_analytic(numeric: Field, sol: SeriesSolution, t: float) -> ErrorReport:
     """Pointwise max and L2 difference between a numeric field and the series."""
     grid = numeric.grid
-    if not isinstance(grid, Grid2D):
+    if grid.ndim != 2:
         raise ConfigurationError("analytic comparison requires a 2-D field")
     exact = sample_series(sol, grid, t)
     diff = Field(grid, numeric.values - exact.values)
@@ -106,7 +106,7 @@ def convergence_order(
             init = sample_series(sol, grid, 0.0)
         series = run2d(init, params, grid, dt, t_end=t, snapshot_times=[t])
         reports.append(max_error_vs_analytic(series.fields[-1], sol, series.times[-1]))
-        spacings.append(grid.dx)
+        spacings.append(grid.spacing[0])
     order = estimate_order(spacings, [r.max_abs_error for r in reports])
     return order, reports
 

@@ -1,12 +1,19 @@
 """Exception hierarchy shared by all modules.
 
 CLI exit codes: ConfigurationError/InputError/UnsupportedNetworkError map to
-exit 1, DivergenceError to exit 2, StabilityError to exit 3.
+exit 1, NumericError and its DivergenceError to exit 2, StabilityError to
+exit 3.  Each class carries its code as `exit_code`.
 """
 
 
 class AdrLabError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
+
+    def manifest_fields(self) -> dict:
+        """Keys this error adds to the manifest of a failed run."""
+        return {}
 
 
 class ConfigurationError(AdrLabError):
@@ -20,6 +27,8 @@ class InputError(AdrLabError):
 class NumericError(AdrLabError):
     """Non-finite intermediate produced during evaluation (overflow, NaN)."""
 
+    exit_code = 2
+
 
 class DivergenceError(NumericError):
     """A time-stepping run produced non-finite field values.
@@ -31,16 +40,24 @@ class DivergenceError(NumericError):
         super().__init__(message)
         self.step = step
 
+    def manifest_fields(self) -> dict:
+        return {"diverged_at_step": self.step}
+
 
 class StabilityError(AdrLabError):
     """A step was rejected because the stability constraints fail.
 
-    Carries the offending stability report (Stability2D or Stability3D).
+    Carries the offending stability report (a Stability).
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+
+    def manifest_fields(self) -> dict:
+        return {"stability": self.report.as_dict()}
 
 
 class UnsupportedNetworkError(AdrLabError):

@@ -2,137 +2,92 @@
 
 Grids are vertex-centered: node i sits at x = i*dx for i in [0, n-1], so the
 first and last nodes lie on the physical boundary and dx = L/(n-1).  Fields
-store one scalar array per species, species-major, and carry the Dirichlet
-boundary value (zero by default) on every boundary node.
+store one scalar array per species, species-major, and carry the zero
+Dirichlet boundary value on every boundary node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
 
 __all__ = [
-    "Grid2D",
-    "Grid3D",
+    "Grid",
     "Field",
     "TransportParams",
-    "make_grid2d",
-    "make_grid3d",
     "zero_dirichlet",
     "sample_initial_2d",
 ]
 
-
-def _check_axis(name_n: str, n: int, name_l: str, L: float) -> None:
-    if n < 3:
-        raise ConfigurationError(f"{name_n} must be >= 3, got {n}")
-    if not (L > 0):
-        raise ConfigurationError(f"{name_l} must be positive, got {L}")
+_AXIS_NAMES = "xyz"
 
 
 @dataclass(frozen=True)
-class Grid2D:
-    """Uniform vertex-centered 2-D grid with nx*ny nodes over [0,Lx]x[0,Ly]."""
+class Grid:
+    """Uniform vertex-centered grid with shape[a] nodes over [0, lengths[a]].
 
-    nx: int
-    ny: int
-    Lx: float
-    Ly: float
-    dx: float = dc_field(init=False)
-    dy: float = dc_field(init=False)
+    Spacing along axis a is lengths[a] / (shape[a] - 1).
+    """
+
+    shape: tuple[int, ...]
+    lengths: tuple[float, ...]
+    spacing: tuple[float, ...] = dc_field(init=False)
 
     def __post_init__(self):
-        _check_axis("nx", self.nx, "Lx", self.Lx)
-        _check_axis("ny", self.ny, "Ly", self.Ly)
-        object.__setattr__(self, "dx", self.Lx / (self.nx - 1))
-        object.__setattr__(self, "dy", self.Ly / (self.ny - 1))
+        shape, lengths = tuple(self.shape), tuple(self.lengths)
+        if not (len(shape) == len(lengths) <= len(_AXIS_NAMES)):
+            raise ConfigurationError(
+                f"grid needs one length per axis and at most 3 axes, "
+                f"got shape {shape} and lengths {lengths}"
+            )
+        for axis, n, L in zip(_AXIS_NAMES, shape, lengths):
+            if n < 3:
+                raise ConfigurationError(f"n{axis} must be >= 3, got {n}")
+            if not (L > 0):
+                raise ConfigurationError(f"L{axis} must be positive, got {L}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "spacing",
+                           tuple(L / (n - 1) for n, L in zip(shape, lengths)))
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
+    def ndim(self) -> int:
+        return len(self.shape)
 
     @property
     def num_cells(self) -> int:
-        return self.nx * self.ny
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
-        return self.dx * self.dy
+        return math.prod(self.spacing)
 
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinate arrays (x_i, y_j) along each axis."""
-        return (
-            np.arange(self.nx) * self.dx,
-            np.arange(self.ny) * self.dy,
-        )
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Node coordinate arrays along each axis."""
+        return tuple(np.arange(n) * d for n, d in zip(self.shape, self.spacing))
 
-    def flat_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise InputError(f"cell ({i}, {j}) outside grid {self.shape}")
-        return i * self.ny + j
+    def interior_cell(self, cell, key: str) -> tuple[int, ...]:
+        """Validate a cell reference: ndim integers with 1 <= i <= n-2 each.
 
-    def cell_at(self, flat: int) -> tuple[int, int]:
-        if not (0 <= flat < self.num_cells):
-            raise InputError(f"flat index {flat} outside grid {self.shape}")
-        return divmod(flat, self.ny)
-
-
-@dataclass(frozen=True)
-class Grid3D:
-    """Uniform vertex-centered 3-D grid with nx*ny*nz nodes."""
-
-    nx: int
-    ny: int
-    nz: int
-    Lx: float
-    Ly: float
-    Lz: float
-    dx: float = dc_field(init=False)
-    dy: float = dc_field(init=False)
-    dz: float = dc_field(init=False)
-
-    def __post_init__(self):
-        _check_axis("nx", self.nx, "Lx", self.Lx)
-        _check_axis("ny", self.ny, "Ly", self.Ly)
-        _check_axis("nz", self.nz, "Lz", self.Lz)
-        object.__setattr__(self, "dx", self.Lx / (self.nx - 1))
-        object.__setattr__(self, "dy", self.Ly / (self.ny - 1))
-        object.__setattr__(self, "dz", self.Lz / (self.nz - 1))
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.nx, self.ny, self.nz)
-
-    @property
-    def num_cells(self) -> int:
-        return self.nx * self.ny * self.nz
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx * self.dy * self.dz
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.arange(self.nx) * self.dx,
-            np.arange(self.ny) * self.dy,
-            np.arange(self.nz) * self.dz,
-        )
-
-    def flat_index(self, i: int, j: int, k: int) -> int:
-        if not (0 <= i < self.nx and 0 <= j < self.ny and 0 <= k < self.nz):
-            raise InputError(f"cell ({i}, {j}, {k}) outside grid {self.shape}")
-        return (i * self.ny + j) * self.nz + k
-
-    def cell_at(self, flat: int) -> tuple[int, int, int]:
-        if not (0 <= flat < self.num_cells):
-            raise InputError(f"flat index {flat} outside grid {self.shape}")
-        ij, k = divmod(flat, self.nz)
-        i, j = divmod(ij, self.ny)
-        return i, j, k
+        Boundary nodes are excluded because zero_dirichlet erases whatever is
+        put there.  key names the reference in the error message.
+        """
+        if not (
+            isinstance(cell, (list, tuple)) and len(cell) == self.ndim
+            and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                    for i in cell)
+            and all(1 <= i <= n - 2 for i, n in zip(cell, self.shape))
+        ):
+            raise ConfigurationError(
+                f"{key}: expected {self.ndim} integer indices of an interior "
+                f"node (1 <= i <= n-2) of grid {self.shape}, got {cell!r}"
+            )
+        return tuple(int(i) for i in cell)
 
 
 @dataclass
@@ -143,7 +98,7 @@ class Field:
     returns a Field; interior nodes hold the evolving state.
     """
 
-    grid: Grid2D | Grid3D
+    grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
@@ -157,13 +112,13 @@ class Field:
 
     @property
     def species_count(self) -> int:
-        return self.values.shape[0] if self.values.ndim > len(self.grid.shape) else 1
+        return self.values.shape[0] if self.values.ndim > self.grid.ndim else 1
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
     @classmethod
-    def zeros(cls, grid: Grid2D | Grid3D, species_count: int = 1) -> "Field":
+    def zeros(cls, grid: Grid, species_count: int = 1) -> "Field":
         if species_count < 1:
             raise ConfigurationError(f"species_count must be >= 1, got {species_count}")
         return cls(grid, np.zeros((species_count,) + grid.shape))
@@ -199,33 +154,19 @@ class TransportParams:
         return len(self.u)
 
 
-def make_grid2d(nx: int, ny: int, Lx: float, Ly: float) -> Grid2D:
-    """Build a validated, immutable 2-D grid; spacing dx = Lx/(nx-1)."""
-    return Grid2D(nx, ny, Lx, Ly)
-
-
-def make_grid3d(nx: int, ny: int, nz: int, Lx: float, Ly: float, Lz: float) -> Grid3D:
-    return Grid3D(nx, ny, nz, Lx, Ly, Lz)
-
-
-def zero_dirichlet(field: Field, value: float = 0.0) -> Field:
-    """Set every boundary node of every species to `value` (default 0), in place.
+def zero_dirichlet(field: Field) -> Field:
+    """Set every boundary node of every species to zero, in place.
 
     Interior nodes are untouched.  Idempotent.  Returns the same field.
     """
     v = field.values
-    ndim_space = len(field.grid.shape)
-    for axis in range(1, ndim_space + 1):
-        idx_lo = [slice(None)] * v.ndim
-        idx_hi = [slice(None)] * v.ndim
-        idx_lo[axis] = 0
-        idx_hi[axis] = -1
-        v[tuple(idx_lo)] = value
-        v[tuple(idx_hi)] = value
+    for axis in range(1, v.ndim):
+        v[(slice(None),) * axis + (0,)] = 0.0
+        v[(slice(None),) * axis + (-1,)] = 0.0
     return field
 
 
-def sample_initial_2d(grid: Grid2D, f: Callable[[float, float], float]) -> Field:
+def sample_initial_2d(grid: Grid, f: Callable[[float, float], float]) -> Field:
     """Sample f(x, y) at every node, then apply zero Dirichlet boundaries.
 
     f is evaluated with numpy broadcasting when possible, falling back to

@@ -14,34 +14,10 @@ reads only the previous buffer, so results are independent of sweep order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .grid import Field, Grid, TransportParams, zero_dirichlet
+from .snapshots import SnapshotSeries, Stability, run_steps
 
-import numpy as np
-
-from .errors import DivergenceError, StabilityError
-from .grid import Field, Grid2D, TransportParams, zero_dirichlet
-from .snapshots import SnapshotSeries, snapshot_steps
-
-__all__ = ["Stability2D", "stability2d", "step2d", "run2d"]
-
-
-@dataclass(frozen=True)
-class Stability2D:
-    """Dimensionless stability numbers and verdict for the centered scheme."""
-
-    rx: float
-    ry: float
-    px: float
-    py: float
-    ok: bool
-    violated: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "scheme": "centered-2d",
-            "Rx": self.rx, "Ry": self.ry, "Px": self.px, "Py": self.py,
-            "ok": self.ok, "violated": self.violated,
-        }
+__all__ = ["stability2d", "step2d", "run2d"]
 
 
 def _peclet(u: float, spacing: float, k: float) -> float:
@@ -51,16 +27,17 @@ def _peclet(u: float, spacing: float, k: float) -> float:
     return u * spacing / (2.0 * k) if k > 0 else float("inf")
 
 
-def stability2d(params: TransportParams, grid: Grid2D, dt: float) -> Stability2D:
+def stability2d(params: TransportParams, grid: Grid, dt: float) -> Stability:
     """Compute diffusion/Peclet numbers; failure is data, not an error."""
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     ux, uy = params.u
     kx, ky = params.k
-    rx = kx * dt / grid.dx**2
-    ry = ky * dt / grid.dy**2
-    px = _peclet(ux, grid.dx, kx)
-    py = _peclet(uy, grid.dy, ky)
+    dx, dy = grid.spacing
+    rx = kx * dt / dx**2
+    ry = ky * dt / dy**2
+    px = _peclet(ux, dx, kx)
+    py = _peclet(uy, dy, ky)
     violated = None
     if not (1.0 - 2.0 * rx - 2.0 * ry > 0.0):
         violated = "1-2Rx-2Ry > 0"
@@ -68,31 +45,27 @@ def stability2d(params: TransportParams, grid: Grid2D, dt: float) -> Stability2D
         violated = "Px < 1"
     elif not (py < 1.0):
         violated = "Py < 1"
-    return Stability2D(rx=rx, ry=ry, px=px, py=py,
-                       ok=violated is None, violated=violated)
+    return Stability("centered-2d", {"Rx": rx, "Ry": ry, "Px": px, "Py": py}, violated)
 
 
 def step2d(
     field: Field,
     params: TransportParams,
-    grid: Grid2D,
+    grid: Grid,
     dt: float,
     override_stability: bool = False,
-    _report: Stability2D | None = None,
+    _report: Stability | None = None,
 ) -> Field:
     """One double-buffered step; returns a new Field, boundary re-zeroed."""
     rep = _report if _report is not None else stability2d(params, grid, dt)
-    if not rep.ok and not override_stability:
-        raise StabilityError(
-            f"step rejected: stability constraint '{rep.violated}' fails "
-            f"(Rx={rep.rx}, Ry={rep.ry}, Px={rep.px}, Py={rep.py})",
-            rep,
-        )
-    c0 = 1.0 - 2.0 * rep.rx - 2.0 * rep.ry
-    xp = rep.rx - rep.px * rep.rx   # i+1 (downwind)
-    xm = rep.rx + rep.px * rep.rx   # i-1 (upwind)
-    yp = rep.ry - rep.py * rep.ry
-    ym = rep.ry + rep.py * rep.ry
+    rep.require(override_stability, "Rx", "Ry", "Px", "Py")
+    rx, ry = rep.numbers["Rx"], rep.numbers["Ry"]
+    px, py = rep.numbers["Px"], rep.numbers["Py"]
+    c0 = 1.0 - 2.0 * rx - 2.0 * ry
+    xp = rx - px * rx   # i+1 (downwind)
+    xm = rx + px * rx   # i-1 (upwind)
+    yp = ry - py * ry
+    ym = ry + py * ry
     old = field.values
     new = old.copy()
     new[:, 1:-1, 1:-1] = (
@@ -106,7 +79,7 @@ def step2d(
 def run2d(
     initial: Field,
     params: TransportParams,
-    grid: Grid2D,
+    grid: Grid,
     dt: float,
     t_end: float,
     snapshot_times,
@@ -114,26 +87,10 @@ def run2d(
 ) -> SnapshotSeries:
     """Step from t=0 to t_end, capturing snapshots at the requested times."""
     report = stability2d(params, grid, dt)
-    targets = snapshot_steps(snapshot_times, dt, t_end)
-    series = SnapshotSeries(requested_times=list(snapshot_times))
-    series.stability = report
+    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
 
-    n_steps = int(np.ceil(t_end / dt - 1e-9)) if t_end > 0 else 0
-    field = initial.copy()
-    pending = list(zip(targets, series.requested_times))
-    step = 0
-    while True:
-        while pending and pending[0][0] <= step:
-            series.append(step, step * dt, field.copy())
-            pending.pop(0)
-        if step >= n_steps:
-            break
-        field = step2d(field, params, grid, dt,
-                       override_stability=override_stability, _report=report)
-        step += 1
-        if not np.isfinite(field.values).all():
-            raise DivergenceError(
-                f"non-finite field values after step {step} (t={step * dt})",
-                step,
-            )
-    return series
+    def advance(field: Field, t: float) -> Field:
+        return step2d(field, params, grid, dt,
+                      override_stability=override_stability, _report=report)
+
+    return run_steps(initial, advance, dt, t_end, series)

@@ -20,16 +20,15 @@ condition max_i(u_i dt / d_i) <= alpha < 1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chemistry import ReactionNetwork, reaction_rates_field
-from .errors import ConfigurationError, DivergenceError, StabilityError
-from .grid import Field, Grid3D, TransportParams, zero_dirichlet
-from .snapshots import SnapshotSeries, snapshot_steps
+from .errors import ConfigurationError
+from .grid import Field, Grid, TransportParams, zero_dirichlet
+from .snapshots import SnapshotSeries, Stability, run_steps
 
-__all__ = ["Stability3D", "stability3d", "step3d", "run3d"]
+__all__ = ["stability3d", "step3d", "run3d"]
 
 logger = logging.getLogger(__name__)
 
@@ -38,43 +37,17 @@ DEFAULT_ALPHA = 0.9
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass(frozen=True)
-class Stability3D:
-    """Diffusion numbers, Peclet numbers, CFL ratio and combined verdict."""
-
-    rx: float
-    ry: float
-    rz: float
-    px: float
-    py: float
-    pz: float
-    cfl: float
-    combined: float
-    alpha: float
-    ok: bool
-    violated: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "scheme": "upwind-3d",
-            "Rx": self.rx, "Ry": self.ry, "Rz": self.rz,
-            "Px": self.px, "Py": self.py, "Pz": self.pz,
-            "cfl": self.cfl, "combined": self.combined, "alpha": self.alpha,
-            "ok": self.ok, "violated": self.violated,
-        }
-
-
 def stability3d(
     params: TransportParams,
-    grid: Grid3D,
+    grid: Grid,
     dt: float,
     alpha: float = DEFAULT_ALPHA,
-) -> Stability3D:
+) -> Stability:
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     if not (0 < alpha < 1):
         raise ConfigurationError(f"CFL threshold alpha must be in (0, 1), got {alpha}")
-    spacing = (grid.dx, grid.dy, grid.dz)
+    spacing = grid.spacing
     r = [k * dt / d**2 for k, d in zip(params.k, spacing)]
     # P = u d / k; the product P*R is computed as u dt / d directly, which is
     # the same number algebraically but stays finite when k = 0.
@@ -88,11 +61,11 @@ def stability3d(
         violated = "2Rx+2Ry+2Rz+PxRx+PyRy+PzRz < 1"
     elif not (cfl <= alpha):
         violated = "max(u*dt/d) <= alpha"
-    return Stability3D(
-        rx=r[0], ry=r[1], rz=r[2], px=p[0], py=p[1], pz=p[2],
-        cfl=cfl, combined=combined, alpha=alpha,
-        ok=violated is None, violated=violated,
-    )
+    numbers = {
+        "Rx": r[0], "Ry": r[1], "Rz": r[2], "Px": p[0], "Py": p[1], "Pz": p[2],
+        "cfl": cfl, "combined": combined, "alpha": alpha,
+    }
+    return Stability("upwind-3d", numbers, violated)
 
 
 def _check_velocities(params: TransportParams) -> None:
@@ -120,12 +93,12 @@ def _transport_increment(cs: np.ndarray, adv, dif, out: np.ndarray) -> None:
 def step3d(
     field: Field,
     params: TransportParams,
-    grid: Grid3D,
+    grid: Grid,
     network: ReactionNetwork | None,
     t: float,
     dt: float,
     override_stability: bool = False,
-    _report: Stability3D | None = None,
+    _report: Stability | None = None,
     alpha: float = DEFAULT_ALPHA,
 ) -> Field:
     """One explicit step at time t; returns a new Field, boundary re-zeroed.
@@ -135,13 +108,8 @@ def step3d(
     """
     _check_velocities(params)
     rep = _report if _report is not None else stability3d(params, grid, dt, alpha)
-    if not rep.ok and not override_stability:
-        raise StabilityError(
-            f"step rejected: stability constraint '{rep.violated}' fails "
-            f"(combined={rep.combined}, cfl={rep.cfl}, alpha={rep.alpha})",
-            rep,
-        )
-    spacing = (grid.dx, grid.dy, grid.dz)
+    rep.require(override_stability, "combined", "cfl", "alpha")
+    spacing = grid.spacing
     adv = [u * dt / d for u, d in zip(params.u, spacing)]
     dif = [k * dt / d**2 for k, d in zip(params.k, spacing)]
     old = field.values
@@ -193,7 +161,7 @@ def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) 
 def run3d(
     initial: Field,
     params: TransportParams,
-    grid: Grid3D,
+    grid: Grid,
     network: ReactionNetwork | None,
     dt: float,
     t_end: float,
@@ -224,51 +192,32 @@ def run3d(
             f"of size {grid.shape[axis]}"
         )
     report = stability3d(params, grid, dt, alpha)
-    targets = snapshot_steps(snapshot_times, dt, t_end)
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
-    chem_scale = (
+    series.chemistry_rate_scale = (
         _reaction_rate_warning(network, initial, dt) if network is not None else 0.0
     )
-    series.chemistry_rate_scale = chem_scale
 
     log = TrajectoryLog(
-        cells=[tuple(c) for c in (trajectory_cells or [])],
+        cells=[grid.interior_cell(c, f"trajectories.cells[{n}]")
+               for n, c in enumerate(trajectory_cells or [])],
         stride=trajectory_stride,
         species=list(network.species) if network is not None
         else [f"c{j+1}" for j in range(initial.species_count)],
     )
-    for c in log.cells:
-        if any(not (1 <= c[a] < grid.shape[a] - 1) for a in range(3)):
-            raise ConfigurationError(f"tracked cell {c} is not interior")
-    cell_idx = tuple(np.array([c[a] for c in log.cells]) for a in range(3)) \
-        if log.cells else None
+    cell_idx = tuple(np.array([c[a] for c in log.cells]) for a in range(3))
+    plane_idx = (slice(None),) * (axis + 1) + (slice_index,)
 
     def take_slice(values: np.ndarray) -> np.ndarray:
-        sl = [slice(None)] * 4
-        sl[axis + 1] = slice_index
-        return values[tuple(sl)].copy()
+        return values[plane_idx].copy()
 
-    n_steps = int(np.ceil(t_end / dt - 1e-9)) if t_end > 0 else 0
-    field = initial.copy()
-    pending = list(zip(targets, series.requested_times))
-    step = 0
-    while True:
-        t = step * dt
-        while pending and pending[0][0] <= step:
-            series.append(step, t, field.copy(), plane=take_slice(field.values))
-            pending.pop(0)
-        if cell_idx is not None and step % log.stride == 0:
-            log.append(t, field.values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
-        if step >= n_steps:
-            break
-        field = step3d(field, params, grid, network, t, dt,
-                       override_stability=override_stability, _report=report)
-        step += 1
-        if not np.isfinite(field.values).all():
-            bad = np.argwhere(~np.isfinite(field.values))[0]
-            raise DivergenceError(
-                f"non-finite value after step {step} (t={step * dt}) "
-                f"at species {bad[0]}, cell {tuple(bad[1:])}",
-                step,
-            )
+    def sample(step: int, t: float, values: np.ndarray) -> None:
+        if step % log.stride == 0:
+            log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
+
+    def advance(field: Field, t: float) -> Field:
+        return step3d(field, params, grid, network, t, dt,
+                      override_stability=override_stability, _report=report)
+
+    run_steps(initial, advance, dt, t_end, series, take_slice=take_slice,
+              sample=sample if log.cells else None)
     return series, log

@@ -16,6 +16,7 @@ import pytest
 from adr_lab import (
     ConstantRate,
     Field,
+    Grid,
     ReactionNetwork,
     TransportParams,
     boundedness_check,
@@ -23,8 +24,6 @@ from adr_lab import (
     compute_dbar,
     convergence_order,
     l2_norm,
-    make_grid2d,
-    make_grid3d,
     max_pairwise_distance,
     ozone_network,
     photolysis_k1,
@@ -138,10 +137,10 @@ def _csv_hashes(out_dir: Path) -> dict:
 
 
 def test_criterion_01_stability_numbers():
-    grid = make_grid2d(46, 46, 1.0, 1.0)
+    grid = Grid((46, 46), (1.0, 1.0))
     rep = stability2d(TransportParams(u=(5.0, 5.0), k=(0.5, 0.5)), grid, 1e-4)
-    assert abs(rep.rx - 0.10125) < 1e-6
-    assert abs(rep.px - 0.1111) < 1e-3
+    assert abs(rep.numbers["Rx"] - 0.10125) < 1e-6
+    assert abs(rep.numbers["Px"] - 0.1111) < 1e-3
     assert rep.ok
 
 
@@ -170,11 +169,11 @@ def test_criterion_03_2d_error_under_frozen_baseline(compare_runs):
 
 def test_criterion_04_spatial_convergence_order():
     sol = build_series(SINE, 5.0, 0.5, M=40, N=40)
-    base = make_grid2d(46, 46, 1.0, 1.0)
+    base = Grid((46, 46), (1.0, 1.0))
     levels = []
     for nx in (24, 46, 91):
-        g = make_grid2d(nx, nx, 1.0, 1.0)
-        levels.append((g, 1e-4 * (g.dx / base.dx) ** 2))
+        g = Grid((nx, nx), (1.0, 1.0))
+        levels.append((g, 1e-4 * (g.spacing[0] / base.spacing[0]) ** 2))
     order, _ = convergence_order(levels, sol, 0.05, initial_profile=SINE)
     assert 1.7 <= order <= 2.3, f"measured order {order}"
 
@@ -186,10 +185,11 @@ def test_criterion_05_positivity_and_maximum_principle():
         nx = int(rng.integers(5, 24))
         ny = int(rng.integers(5, 24))
         k = float(rng.uniform(0.05, 2.0))
-        grid = make_grid2d(nx, ny, 1.0, 1.0)
-        u = float(rng.uniform(0.0, 0.95)) * 2 * k / max(grid.dx, grid.dy)
+        grid = Grid((nx, ny), (1.0, 1.0))
+        dx, dy = grid.spacing
+        u = float(rng.uniform(0.0, 0.95)) * 2 * k / max(dx, dy)
         dt = float(rng.uniform(0.1, 0.95)) / (
-            2 * k / grid.dx**2 + 2 * k / grid.dy**2
+            2 * k / dx**2 + 2 * k / dy**2
         )
         params = TransportParams(u=(u, u), k=(k, k))
         if not stability2d(params, grid, dt).ok:
@@ -207,7 +207,7 @@ def test_criterion_05_positivity_and_maximum_principle():
 
 
 def test_criterion_06_stoichiometric_conservation():
-    grid = make_grid3d(5, 5, 5, 40.0, 40.0, 40.0)
+    grid = Grid((5, 5, 5), (40.0, 40.0, 40.0))
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     net = ozone_network(k2=1e-23, sigma2=0.0)
     rng = np.random.default_rng(1)
@@ -250,7 +250,7 @@ def test_criterion_07_3d_scenario(ozone_runs):
     cfg = parse_config(bundled_config_path("ozone-3d.yaml"))
     grid = cfg.grid
     courant = [u * cfg.dt / d for u, d in
-               zip(cfg.transport.u, (grid.dx, grid.dy, grid.dz))]
+               zip(cfg.transport.u, grid.spacing)]
     for species in ("NO2", "O3"):
         s = cfg.network.species.index(species)
         mass = cfg.raw["initial"]["values"][s] * cfg.unit_factor
@@ -280,6 +280,17 @@ def test_criterion_08_bitwise_determinism_across_threads(compare_runs, ozone_run
     assert oz1 == oz4
 
 
+def test_bundled_csv_bytes_match_recorded_digests(compare_runs, ozone_runs):
+    # SHA-256 of every CSV of the two bundled configs, recorded before the
+    # 2-D and 3-D solvers shared one grid and one time loop; a refactor that
+    # keeps the numerics must leave every byte in place
+    recorded = json.loads(
+        (Path(__file__).parent / "data" / "bundled_digests.json").read_text()
+    )
+    assert _csv_hashes(compare_runs[1]) == recorded["benchmark-2d.yaml"]
+    assert _csv_hashes(ozone_runs[1]) == recorded["ozone-3d.yaml"]
+
+
 def test_criterion_09_norm_growth_bound():
     # monomolecular two-species exchange evolved by the 3-D scheme
     net = ReactionNetwork(
@@ -290,7 +301,7 @@ def test_criterion_09_norm_growth_bound():
         sources=(),
     )
     est = compute_dbar(net)
-    grid = make_grid3d(11, 11, 11, 100.0, 100.0, 100.0)
+    grid = Grid((11, 11, 11), (100.0, 100.0, 100.0))
     params = TransportParams(u=(1.0, 1.0, 1.0), k=(2e-5, 2e-5, 2e-5))
     rng = np.random.default_rng(9)
     init = Field(grid, rng.uniform(0.0, 2.0, size=(2, 11, 11, 11)))

@@ -5,11 +5,11 @@ import pytest
 
 from adr_lab import (
     ConfigurationError,
+    Grid,
     build_series,
     default_quad_points,
     eval_series,
     fourier_coefficient,
-    make_grid2d,
     sample_series,
 )
 from adr_lab.analytic2d import coefficient_rows
@@ -90,7 +90,7 @@ def test_initial_profile_reconstruction_error():
 
 def test_initial_grid_residual_frozen():
     sol = build_series(SINE, U, K, M=40, N=40)
-    grid = make_grid2d(46, 46, 1.0, 1.0)
+    grid = Grid((46, 46), (1.0, 1.0))
     from adr_lab import sample_initial_2d
     exact0 = sample_initial_2d(grid, SINE)
     approx0 = sample_series(sol, grid, 0.0)
@@ -100,7 +100,7 @@ def test_initial_grid_residual_frozen():
 
 def test_sample_series_boundary_is_zero():
     sol = build_series(SINE, U, K, M=8, N=8)
-    grid = make_grid2d(9, 9, 1.0, 1.0)
+    grid = Grid((9, 9), (1.0, 1.0))
     field = sample_series(sol, grid, 0.05)
     assert np.all(field.values[0, 0, :] == 0.0)
     assert np.all(field.values[0, -1, :] == 0.0)
@@ -111,12 +111,12 @@ def test_sample_series_boundary_is_zero():
 def test_sample_series_requires_unit_square():
     sol = build_series(SINE, U, K, M=4, N=4)
     with pytest.raises(ConfigurationError):
-        sample_series(sol, make_grid2d(9, 9, 2.0, 1.0), 0.0)
+        sample_series(sol, Grid((9, 9), (2.0, 1.0)), 0.0)
 
 
 def test_series_decays_in_time():
     sol = build_series(SINE, U, K, M=20, N=20)
-    grid = make_grid2d(21, 21, 1.0, 1.0)
+    grid = Grid((21, 21), (1.0, 1.0))
     norms = [float(np.abs(sample_series(sol, grid, t).values).max())
              for t in (0.0, 0.05, 0.12, 0.5)]
     assert norms == sorted(norms, reverse=True)
@@ -135,7 +135,7 @@ def test_build_series_deterministic():
     a = build_series(SINE, U, K, M=12, N=12)
     b = build_series(SINE, U, K, M=12, N=12)
     np.testing.assert_array_equal(a.A, b.A)
-    grid = make_grid2d(17, 17, 1.0, 1.0)
+    grid = Grid((17, 17), (1.0, 1.0))
     np.testing.assert_array_equal(
         sample_series(a, grid, 0.07).values, sample_series(b, grid, 0.07).values
     )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from adr_lab import ConfigurationError
+from adr_lab import ConfigurationError, stability2d, stability3d
+from adr_lab import cli
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
 
 COMPARE_SMALL = {
@@ -172,6 +173,65 @@ def test_divergence_exit_code(tmp_path):
     assert rc == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("chemistry", "sources", 0, "cell"), [20, 1, 1], "chemistry.sources[0].cell"),
+    (("chemistry", "sources", 0, "cell"), [1, 1], "chemistry.sources[0].cell"),
+    (("chemistry", "sources", 0, "cell"), [0, 1, 1], "chemistry.sources[0].cell"),
+    (("initial", "cell"), [-1, 1, 1], "initial.cell"),
+    (("trajectories", "cells"), [[1, 1]], "trajectories.cells[0]"),
+    (("time", "dt"), 0, "time.dt"),
+], ids=["source-outside", "source-2-indices", "source-on-boundary",
+        "initial-negative", "tracked-2-indices", "dt-zero"])
+def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
+    raw = yaml.safe_load(bundled_config_path("ozone-3d.yaml").read_text())
+    raw["grid"].update(nx=11, ny=11, nz=11)
+    raw["time"].update(t_end=4.0, snapshots=[0.0, 4.0])
+    block = raw
+    for part in path[:-1]:
+        block = block[part]
+    block[path[-1]] = value
+    out = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, raw)), "--out-dir", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    manifest = out / "manifest.json"
+    # parse-time rejections stop before the manifest is written
+    assert not manifest.exists() or json.loads(manifest.read_text())["status"] == "failed"
+
+
+def test_unexpected_fault_finalizes_manifest(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "_run_compare", broken)
+    cfg = parse_config(write_cfg(tmp_path, COMPARE_SMALL))
+    out = tmp_path / "outf"
+    with pytest.raises(RuntimeError, match="injected fault"):
+        execute(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "RuntimeError: injected fault"
+
+
+def test_stability_report_of_bundled_configs():
+    c2 = parse_config(bundled_config_path("benchmark-2d.yaml"))
+    rep2 = stability2d(c2.transport, c2.grid, c2.dt).as_dict()
+    expected2 = {
+        "scheme": "centered-2d", "Rx": 0.10125, "Ry": 0.10125,
+        "Px": 0.11111111111111112, "Py": 0.11111111111111112,
+        "ok": True, "violated": None,
+    }
+    assert list(rep2.items()) == list(expected2.items())
+    c3 = parse_config(bundled_config_path("ozone-3d.yaml"))
+    rep3 = stability3d(c3.transport, c3.grid, c3.dt, c3.alpha).as_dict()
+    expected3 = {
+        "scheme": "upwind-3d", "Rx": 2.0000000000000002e-07,
+        "Ry": 2.0000000000000002e-07, "Rz": 2.0000000000000002e-07,
+        "Px": 499999.99999999994, "Py": 499999.99999999994, "Pz": 499999.99999999994,
+        "cfl": 0.1, "combined": 0.3000012, "alpha": 0.9, "ok": True, "violated": None,
+    }
+    assert list(rep3.items()) == list(expected3.items())
 
 
 def test_main_rejects_unknown_target(capsys):

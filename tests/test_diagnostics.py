@@ -7,6 +7,7 @@ from adr_lab import (
     ConfigurationError,
     ConstantRate,
     Field,
+    Grid,
     ReactionNetwork,
     StabilityError,
     TrajectoryLog,
@@ -18,8 +19,6 @@ from adr_lab import (
     convergence_order,
     estimate_order,
     l2_norm,
-    make_grid2d,
-    make_grid3d,
     max_error_vs_analytic,
     max_pairwise_distance,
     positivity_check,
@@ -33,14 +32,14 @@ SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def test_l2_norm_of_ones():
-    grid = make_grid2d(11, 11, 1.0, 1.0)
+    grid = Grid((11, 11), (1.0, 1.0))
     field = Field(grid, np.ones((2, 11, 11)))
     # all entries 1, cell volume 0.01: sqrt(2 * 121 * 0.01)
     assert l2_norm(field) == pytest.approx(math.sqrt(2 * 121 * 0.01), rel=1e-14)
 
 
 def test_l2_norm_3d_weighting():
-    grid = make_grid3d(3, 3, 3, 2.0, 2.0, 2.0)
+    grid = Grid((3, 3, 3), (2.0, 2.0, 2.0))
     field = Field.zeros(grid)
     field.values[0, 1, 1, 1] = 4.0
     assert l2_norm(field) == pytest.approx(math.sqrt(16.0 * 1.0), rel=1e-14)
@@ -48,7 +47,7 @@ def test_l2_norm_3d_weighting():
 
 def test_error_report_zero_for_exact_samples():
     sol = build_series(SINE, 5.0, 0.5, M=12, N=12)
-    grid = make_grid2d(15, 15, 1.0, 1.0)
+    grid = Grid((15, 15), (1.0, 1.0))
     field = sample_series(sol, grid, 0.03)
     rep = max_error_vs_analytic(field, sol, 0.03)
     assert rep.max_abs_error == 0.0 and rep.l2_error == 0.0
@@ -65,11 +64,11 @@ def test_estimate_order_recovers_synthetic_slope():
 
 def test_convergence_order_near_two():
     sol = build_series(SINE, 5.0, 0.5, M=30, N=30)
-    base = make_grid2d(24, 24, 1.0, 1.0)
+    base = Grid((24, 24), (1.0, 1.0))
     levels = []
     for nx in (24, 46, 91):
-        g = make_grid2d(nx, nx, 1.0, 1.0)
-        levels.append((g, 2e-4 * (g.dx / base.dx) ** 2))
+        g = Grid((nx, nx), (1.0, 1.0))
+        levels.append((g, 2e-4 * (g.spacing[0] / base.spacing[0]) ** 2))
     order, reports = convergence_order(levels, sol, 0.05, initial_profile=SINE)
     assert 1.7 <= order <= 2.3
     assert len(reports) == 3
@@ -78,7 +77,7 @@ def test_convergence_order_near_two():
 
 def test_convergence_order_aborts_on_unstable_level():
     sol = build_series(SINE, 5.0, 0.5, M=8, N=8)
-    levels = [(make_grid2d(nx, nx, 1.0, 1.0), 1.0) for nx in (24, 46, 91)]
+    levels = [(Grid((nx, nx), (1.0, 1.0)), 1.0) for nx in (24, 46, 91)]
     with pytest.raises(StabilityError):
         convergence_order(levels, sol, 0.05)
 
@@ -124,7 +123,7 @@ def _series_with(values_list, grid):
 
 
 def test_positivity_check_clean_and_dirty():
-    grid = make_grid2d(4, 4, 1.0, 1.0)
+    grid = Grid((4, 4), (1.0, 1.0))
     good = _series_with([np.full((1, 4, 4), 2.0)], grid)
     ok, violation = positivity_check(good)
     assert ok and violation is None
@@ -138,7 +137,7 @@ def test_positivity_check_clean_and_dirty():
 
 
 def test_positivity_check_tolerates_rounding_noise():
-    grid = make_grid2d(4, 4, 1.0, 1.0)
+    grid = Grid((4, 4), (1.0, 1.0))
     vals = np.full((1, 4, 4), 1.0)
     vals[0, 1, 1] = -1e-14  # within 1e-12 * max
     ok, _ = positivity_check(_series_with([vals], grid))
@@ -176,7 +175,7 @@ def test_max_pairwise_distance_matches_brute_force():
 
 
 def test_norm_decays_for_stable_diffusive_run():
-    grid = make_grid2d(20, 20, 1.0, 1.0)
+    grid = Grid((20, 20), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, SINE)
     series = run2d(init, params, grid, 1e-4, 0.05, [0.0, 0.02, 0.05])

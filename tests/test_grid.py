@@ -5,82 +5,47 @@ from hypothesis import given, strategies as st
 from adr_lab import (
     ConfigurationError,
     Field,
+    Grid,
     InputError,
     TransportParams,
-    make_grid2d,
-    make_grid3d,
     sample_initial_2d,
     zero_dirichlet,
 )
 
 
 def test_spacing_uses_node_count_minus_one():
-    grid = make_grid2d(46, 46, 1.0, 1.0)
-    assert grid.dx == 1.0 / 45.0
-    assert grid.dy == 1.0 / 45.0
-    g3 = make_grid3d(101, 101, 101, 1000.0, 1000.0, 1000.0)
-    assert g3.dx == 10.0 and g3.dy == 10.0 and g3.dz == 10.0
+    grid = Grid((46, 46), (1.0, 1.0))
+    assert grid.spacing[0] == 1.0 / 45.0
+    assert grid.spacing[1] == 1.0 / 45.0
+    g3 = Grid((101, 101, 101), (1000.0, 1000.0, 1000.0))
+    assert g3.spacing == (10.0, 10.0, 10.0)
 
 
 def test_cell_volume():
-    grid = make_grid2d(11, 21, 1.0, 2.0)
+    grid = Grid((11, 21), (1.0, 2.0))
     assert grid.cell_volume == pytest.approx(0.1 * 0.1)
-    g3 = make_grid3d(101, 101, 101, 1000.0, 1000.0, 1000.0)
+    g3 = Grid((101, 101, 101), (1000.0, 1000.0, 1000.0))
     assert g3.cell_volume == pytest.approx(1000.0)
 
 
 def test_invalid_grid_rejected():
     with pytest.raises(ConfigurationError):
-        make_grid2d(1, 10, 1.0, 1.0)
+        Grid((1, 10), (1.0, 1.0))
     with pytest.raises(ConfigurationError):
-        make_grid2d(10, 10, -1.0, 1.0)
+        Grid((10, 10), (-1.0, 1.0))
     with pytest.raises(ConfigurationError):
-        make_grid3d(10, 10, 0, 1.0, 1.0, 1.0)
+        Grid((10, 10, 0), (1.0, 1.0, 1.0))
 
 
 def test_coords_span_domain():
-    grid = make_grid2d(5, 9, 2.0, 4.0)
+    grid = Grid((5, 9), (2.0, 4.0))
     x, y = grid.coords()
     assert x[0] == 0.0 and x[-1] == 2.0 and len(x) == 5
     assert y[0] == 0.0 and y[-1] == 4.0 and len(y) == 9
 
 
-@given(
-    nx=st.integers(3, 12), ny=st.integers(3, 12),
-    data=st.data(),
-)
-def test_flat_index_bijection_2d(nx, ny, data):
-    grid = make_grid2d(nx, ny, 1.0, 1.0)
-    i = data.draw(st.integers(0, nx - 1))
-    j = data.draw(st.integers(0, ny - 1))
-    flat = grid.flat_index(i, j)
-    assert 0 <= flat < grid.num_cells
-    assert grid.cell_at(flat) == (i, j)
-
-
-@given(
-    nx=st.integers(3, 8), ny=st.integers(3, 8), nz=st.integers(3, 8),
-    data=st.data(),
-)
-def test_flat_index_bijection_3d(nx, ny, nz, data):
-    grid = make_grid3d(nx, ny, nz, 1.0, 1.0, 1.0)
-    i = data.draw(st.integers(0, nx - 1))
-    j = data.draw(st.integers(0, ny - 1))
-    k = data.draw(st.integers(0, nz - 1))
-    flat = grid.flat_index(i, j, k)
-    assert 0 <= flat < grid.num_cells
-    assert grid.cell_at(flat) == (i, j, k)
-
-
-def test_flat_index_covers_all_cells():
-    grid = make_grid3d(3, 4, 5, 1.0, 1.0, 1.0)
-    seen = {grid.flat_index(i, j, k)
-            for i in range(3) for j in range(4) for k in range(5)}
-    assert seen == set(range(grid.num_cells))
-
-
 def test_field_shape_validation():
-    grid = make_grid2d(4, 5, 1.0, 1.0)
+    grid = Grid((4, 5), (1.0, 1.0))
     with pytest.raises(ConfigurationError):
         Field(grid, np.zeros((4, 5)))  # missing species axis
     with pytest.raises(ConfigurationError):
@@ -91,7 +56,7 @@ def test_field_shape_validation():
 
 
 def test_field_copy_is_deep():
-    grid = make_grid2d(4, 4, 1.0, 1.0)
+    grid = Grid((4, 4), (1.0, 1.0))
     field = Field.zeros(grid)
     clone = field.copy()
     clone.values[0, 1, 1] = 7.0
@@ -109,7 +74,7 @@ def test_transport_params_reject_negative():
 
 @given(nx=st.integers(3, 10), ny=st.integers(3, 10), seed=st.integers(0, 999))
 def test_zero_dirichlet_clears_boundary_and_is_idempotent(nx, ny, seed):
-    grid = make_grid2d(nx, ny, 1.0, 1.0)
+    grid = Grid((nx, ny), (1.0, 1.0))
     rng = np.random.default_rng(seed)
     field = Field(grid, rng.uniform(0.5, 2.0, size=(2, nx, ny)))
     interior_before = field.values[:, 1:-1, 1:-1].copy()
@@ -126,14 +91,14 @@ def test_zero_dirichlet_clears_boundary_and_is_idempotent(nx, ny, seed):
 
 
 def test_zero_dirichlet_3d_faces():
-    grid = make_grid3d(4, 4, 4, 1.0, 1.0, 1.0)
+    grid = Grid((4, 4, 4), (1.0, 1.0, 1.0))
     field = Field(grid, np.ones((1, 4, 4, 4)))
     zero_dirichlet(field)
     assert field.values.sum() == 2.0 ** 3  # only the interior 2x2x2 block remains
 
 
 def test_sample_initial_matches_pointwise_loop():
-    grid = make_grid2d(7, 6, 1.0, 1.0)
+    grid = Grid((7, 6), (1.0, 1.0))
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     field = sample_initial_2d(grid, f)
     x, y = grid.coords()
@@ -148,6 +113,6 @@ def test_sample_initial_matches_pointwise_loop():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sample_initial_rejects_non_finite():
-    grid = make_grid2d(5, 5, 1.0, 1.0)
+    grid = Grid((5, 5), (1.0, 1.0))
     with pytest.raises(InputError):
         sample_initial_2d(grid, lambda x, y: 1.0 / (x - 0.5))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,9 @@ from adr_lab import (
     ConfigurationError,
     DivergenceError,
     Field,
+    Grid,
     StabilityError,
     TransportParams,
-    make_grid2d,
     run2d,
     sample_initial_2d,
     stability2d,
@@ -38,15 +40,15 @@ def naive_step(values, u, k, dx, dy, dt):
 
 
 def test_stability_numbers_reference_case():
-    grid = make_grid2d(46, 46, 1.0, 1.0)
+    grid = Grid((46, 46), (1.0, 1.0))
     rep = stability2d(TransportParams(u=(5.0, 5.0), k=(0.5, 0.5)), grid, 1e-4)
-    assert rep.rx == pytest.approx(0.10125, abs=1e-9)
-    assert rep.px == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert rep.numbers["Rx"] == pytest.approx(0.10125, abs=1e-9)
+    assert rep.numbers["Px"] == pytest.approx(1.0 / 9.0, rel=1e-12)
     assert rep.ok and rep.violated is None
 
 
 def test_stability_violations_named():
-    grid = make_grid2d(46, 46, 1.0, 1.0)
+    grid = Grid((46, 46), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     rep = stability2d(params, grid, 1e-2)  # Rx = 10.125
     assert not rep.ok and rep.violated == "1-2Rx-2Ry > 0"
@@ -55,14 +57,15 @@ def test_stability_violations_named():
 
 
 def test_stability_advection_free_peclet_is_zero():
-    grid = make_grid2d(11, 11, 1.0, 1.0)
+    grid = Grid((11, 11), (1.0, 1.0))
     rep = stability2d(TransportParams(u=(0.0, 0.0), k=(0.0, 0.0)), grid, 1.0)
-    assert rep.px == 0.0 and rep.py == 0.0 and rep.rx == 0.0
+    assert rep.numbers["Px"] == 0.0 and rep.numbers["Py"] == 0.0
+    assert rep.numbers["Rx"] == 0.0
     assert rep.ok
 
 
 def test_step_matches_naive_loop_bitwise():
-    grid = make_grid2d(9, 8, 1.0, 1.0)
+    grid = Grid((9, 8), (1.0, 1.0))
     params = TransportParams(u=(5.0, 3.0), k=(0.5, 0.4))
     dt = 1e-4
     rng = np.random.default_rng(7)
@@ -70,7 +73,7 @@ def test_step_matches_naive_loop_bitwise():
     values[:, 0, :] = values[:, -1, :] = values[:, :, 0] = values[:, :, -1] = 0.0
     field = Field(grid, values.copy())
     stepped = step2d(field, params, grid, dt)
-    expected = naive_step(values, params.u, params.k, grid.dx, grid.dy, dt)
+    expected = naive_step(values, params.u, params.k, *grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
 
 
@@ -78,7 +81,7 @@ def test_step_is_double_buffered():
     # in-place (Gauss-Seidel style) sweeps would couple cells within a step;
     # the naive oracle above reads only old values, so equality covers it,
     # and the input field must not be mutated
-    grid = make_grid2d(6, 6, 1.0, 1.0)
+    grid = Grid((6, 6), (1.0, 1.0))
     params = TransportParams(u=(1.0, 1.0), k=(0.5, 0.5))
     values = np.zeros((1, 6, 6))
     values[0, 2, 2] = 1.0
@@ -88,7 +91,7 @@ def test_step_is_double_buffered():
 
 
 def test_unstable_step_raises_with_report():
-    grid = make_grid2d(46, 46, 1.0, 1.0)
+    grid = Grid((46, 46), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     field = Field.zeros(grid)
     with pytest.raises(StabilityError) as exc:
@@ -105,10 +108,11 @@ def test_maximum_principle_random_stable_configs(seed):
     nx = int(rng.integers(5, 20))
     ny = int(rng.integers(5, 20))
     k = float(rng.uniform(0.05, 2.0))
-    grid = make_grid2d(nx, ny, 1.0, 1.0)
+    grid = Grid((nx, ny), (1.0, 1.0))
+    dx, dy = grid.spacing
     # u below the Peclet limit, dt below the diffusion limit
-    u = float(rng.uniform(0.0, 0.95)) * 2 * k / max(grid.dx, grid.dy)
-    dt = float(rng.uniform(0.1, 0.95)) / (2 * k / grid.dx**2 + 2 * k / grid.dy**2)
+    u = float(rng.uniform(0.0, 0.95)) * 2 * k / max(dx, dy)
+    dt = float(rng.uniform(0.1, 0.95)) / (2 * k / dx**2 + 2 * k / dy**2)
     params = TransportParams(u=(u, u), k=(k, k))
     assert stability2d(params, grid, dt).ok
     values = rng.uniform(0.0, 10.0, size=(1, nx, ny))
@@ -135,7 +139,7 @@ def test_snapshot_steps_validation():
 
 
 def test_run_records_requested_snapshots():
-    grid = make_grid2d(24, 24, 1.0, 1.0)
+    grid = Grid((24, 24), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     series = run2d(init, params, grid, 2e-4, 0.05, [0.0, 0.02, 0.05])
@@ -148,24 +152,30 @@ def test_run_records_requested_snapshots():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_detects_divergence():
-    grid = make_grid2d(12, 12, 1.0, 1.0)
+    grid = Grid((12, 12), (1.0, 1.0))
     params = TransportParams(u=(0.0, 0.0), k=(0.5, 0.5))
     init = Field.zeros(grid)
     init.values[0, 5, 5] = 1e300
     with pytest.raises(DivergenceError) as exc:
         run2d(init, params, grid, 1.0, 50.0, [50.0], override_stability=True)
     assert exc.value.step >= 1
+    where = re.search(r"after step (\d+) .* at species (\d+), cell \((\d+), (\d+)\)",
+                      str(exc.value))
+    assert where, str(exc.value)
+    step, species, i, j = map(int, where.groups())
+    assert step == exc.value.step and species == 0
+    assert 1 <= i <= 10 and 1 <= j <= 10
 
 
 def test_run_unstable_without_override_raises():
-    grid = make_grid2d(12, 12, 1.0, 1.0)
+    grid = Grid((12, 12), (1.0, 1.0))
     params = TransportParams(u=(0.0, 0.0), k=(0.5, 0.5))
     with pytest.raises(StabilityError):
         run2d(Field.zeros(grid), params, grid, 1.0, 10.0, [10.0])
 
 
 def test_repeated_runs_bitwise_identical():
-    grid = make_grid2d(20, 20, 1.0, 1.0)
+    grid = Grid((20, 20), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     a = run2d(init, params, grid, 1e-4, 0.02, [0.02])

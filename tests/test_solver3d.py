@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from adr_lab import (
     ConstantRate,
     DivergenceError,
     Field,
+    Grid,
     ReactionNetwork,
     TransportParams,
-    make_grid3d,
     ozone_network,
     reaction_rates,
     run3d,
@@ -51,17 +53,17 @@ def naive_step(values, u, k, spacing, dt, network=None, t=0.0):
 
 
 def _box(n=101, L=1000.0):
-    return make_grid3d(n, n, n, L, L, L)
+    return Grid((n, n, n), (L, L, L))
 
 
 def test_stability_numbers_reference_case():
     grid = _box()
     params = TransportParams(u=(1.0, 1.0, 1.0), k=(2e-5, 2e-5, 2e-5))
     rep = stability3d(params, grid, 1.0)
-    assert rep.rx == pytest.approx(2e-7, rel=1e-12)
-    assert rep.cfl == pytest.approx(0.1, rel=1e-12)
+    assert rep.numbers["Rx"] == pytest.approx(2e-7, rel=1e-12)
+    assert rep.numbers["cfl"] == pytest.approx(0.1, rel=1e-12)
     # combined constraint 2(Rx+Ry+Rz) + u*dt/dx summed over axes
-    assert rep.combined == pytest.approx(6 * 2e-7 + 0.3, rel=1e-12)
+    assert rep.numbers["combined"] == pytest.approx(6 * 2e-7 + 0.3, rel=1e-12)
     assert rep.ok and rep.violated is None
 
 
@@ -71,7 +73,7 @@ def test_stability_pure_advection_finite():
     grid = _box(11, 10.0)
     params = TransportParams(u=(0.5, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     rep = stability3d(params, grid, 1.0)
-    assert rep.combined == pytest.approx(0.5, rel=1e-12)
+    assert rep.numbers["combined"] == pytest.approx(0.5, rel=1e-12)
     assert rep.ok
 
 
@@ -92,7 +94,7 @@ def test_negative_velocity_rejected():
 
 
 def test_step_matches_naive_loop_bitwise_transport():
-    grid = make_grid3d(6, 5, 7, 6.0, 5.0, 7.0)
+    grid = Grid((6, 5, 7), (6.0, 5.0, 7.0))
     params = TransportParams(u=(0.8, 0.3, 0.5), k=(0.1, 0.2, 0.05))
     dt = 0.2
     rng = np.random.default_rng(11)
@@ -100,12 +102,12 @@ def test_step_matches_naive_loop_bitwise_transport():
     field = Field(grid, values.copy())
     stepped = step3d(field, params, grid, None, 0.0, dt)
     expected = naive_step(values, params.u, params.k,
-                          (grid.dx, grid.dy, grid.dz), dt)
+                          grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
 
 
 def test_step_matches_naive_loop_with_chemistry():
-    grid = make_grid3d(5, 5, 5, 50.0, 50.0, 50.0)
+    grid = Grid((5, 5, 5), (50.0, 50.0, 50.0))
     params = TransportParams(u=(1.0, 1.0, 1.0), k=(2e-5, 2e-5, 2e-5))
     net = ozone_network(k2=1e-3, sigma2=5.0, source_cell=(1, 1, 1))
     dt = 0.5
@@ -114,7 +116,7 @@ def test_step_matches_naive_loop_with_chemistry():
     field = Field(grid, values.copy())
     stepped = step3d(field, params, grid, net, NOON, dt)
     expected = naive_step(values, params.u, params.k,
-                          (grid.dx, grid.dy, grid.dz), dt, network=net, t=NOON)
+                          grid.spacing, dt, network=net, t=NOON)
     np.testing.assert_allclose(stepped.values, expected, rtol=1e-13, atol=1e-300)
 
 
@@ -219,6 +221,12 @@ def test_run_detects_divergence_with_location():
         run3d(init, params, grid, None, 100.0, 10000.0, [10000.0],
               override_stability=True)
     assert exc.value.step >= 1
+    where = re.search(r"after step (\d+) .* at species (\d+), cell \((\d+), (\d+), (\d+)\)",
+                      str(exc.value))
+    assert where, str(exc.value)
+    step, species, *cell = map(int, where.groups())
+    assert step == exc.value.step and species == 0
+    assert all(1 <= c <= 3 for c in cell)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
