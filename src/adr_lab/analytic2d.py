@@ -65,14 +65,17 @@ def default_quad_points(m: int, n: int) -> int:
 def _weighted_samples(
     f: Callable, u: float, k: float, quad_points: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate f(x,y) * exp(-u(x+y)/2k) on the tensor quadrature grid."""
+    """Evaluate f(x,y) * exp(-u(x+y)/2k) on the tensor quadrature grid.
+
+    f is called once on broadcast node arrays (x down, y across).
+    """
+    if not (k > 0):
+        raise ConfigurationError(f"diffusivity must be positive, got {k}")
+    if quad_points < 16:
+        raise InputError(f"quad_points must be >= 16, got {quad_points}")
     x, w = _composite_gauss(quad_points)
-    try:
-        fv = np.asarray(f(x[:, None], x[None, :]), dtype=float)
-        if fv.shape != (x.size, x.size):
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.array([[f(xi, yj) for yj in x] for xi in x], dtype=float)
+    fv = np.empty((x.size, x.size))
+    fv[...] = f(x[:, None], x[None, :])
     if not np.isfinite(fv).all():
         i, j = np.argwhere(~np.isfinite(fv))[0]
         raise NumericError(
@@ -93,12 +96,8 @@ def fourier_coefficient(
     """Series coefficient A[m,n] by tensor-product composite quadrature."""
     if m < 1 or n < 1:
         raise InputError(f"mode orders must be >= 1, got ({m}, {n})")
-    if not (k > 0):
-        raise ConfigurationError(f"diffusivity must be positive, got {k}")
     if quad_points is None:
         quad_points = default_quad_points(m, n)
-    if quad_points < 16:
-        raise InputError(f"quad_points must be >= 16, got {quad_points}")
     x, w, F = _weighted_samples(f, u, k, quad_points)
     sm = np.sin(m * np.pi * x) * w
     sn = np.sin(n * np.pi * x) * w
@@ -156,8 +155,6 @@ def build_series(
         raise InputError(f"truncation orders must be >= 1, got ({M}, {N})")
     if quad_points is None:
         quad_points = default_quad_points(M, N)
-    if quad_points < 16:
-        raise InputError(f"quad_points must be >= 16, got {quad_points}")
     x, w, F = _weighted_samples(f, u, k, quad_points)
     Sm = np.sin(np.pi * np.arange(1, M + 1)[:, None] * x[None, :]) * w
     Sn = np.sin(np.pi * np.arange(1, N + 1)[:, None] * x[None, :]) * w

@@ -15,7 +15,7 @@ registered for (j, cell).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,6 @@ DAY_START_HOUR = 4.0
 DAY_END_HOUR = 20.0
 K1_DAY_SCALE = 1e-5
 K1_NIGHT = 1e-40
-# written as exp(7.0) so the bound matches the noon value bit for bit
-K1_MAX = K1_DAY_SCALE * math.exp(7.0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,9 @@ def reaction_rates_field(
 
     Sources are applied at their registered cells.  Equivalent to calling
     reaction_rates cell by cell (tested); this path exists because the 3-D
-    solver evaluates chemistry over ~1e6 cells per step.
+    solver evaluates chemistry over ~1e6 cells per step.  An overflow is
+    left in the result: the time loop's finite check reports it with its
+    step, species and cell.
     """
     h = network.rate_values(t)
     out = np.zeros_like(conc)
@@ -219,9 +219,6 @@ def reaction_rates_field(
                 g *= conc[nu]
             elif exp > 1:
                 g *= conc[nu] ** exp
-        bad = ~np.isfinite(g)
-        if bad.any():
-            raise NumericError(f"non-finite rate in reaction {kappa} at t={t}")
         for j in range(network.species_count):
             if sto[j, kappa]:
                 out[j] += sto[j, kappa] * g

@@ -19,12 +19,13 @@ Exit codes: 0 success, 1 validation error, 2 numeric divergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -60,22 +61,38 @@ CM3_PER_M3 = 1.0e6
 # config parsing
 
 
-def _get(block: dict, key: str, path: str, typ=None, required: bool = True, default=None):
+def _check(value, typ, where: str):
+    """value as a typ (an int is taken for a float); list[T] checks each entry."""
+    base = getattr(typ, "__origin__", typ)
+    if base is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, base) or isinstance(value, bool) and base is not bool:
+        raise ConfigurationError(
+            f"{where}: expected {base.__name__}, got {type(value).__name__}"
+        )
+    if base is not typ:
+        (item,) = typ.__args__
+        return [_check(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+_REQUIRED = object()
+
+
+def _get(block: dict, key: str, path: str, typ, default=_REQUIRED, positive: bool = False):
+    """block[key] checked against typ; required unless a default is given.
+
+    A key set to null counts as absent.
+    """
     if not isinstance(block, dict):
         raise ConfigurationError(f"{path or 'config'}: expected a mapping")
-    if key not in block:
-        if required:
+    if block.get(key) is None:
+        if default is _REQUIRED:
             raise ConfigurationError(f"missing required key: {path}{key}")
         return default
-    value = block[key]
-    if typ is not None:
-        if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, typ) or isinstance(value, bool) and typ is not bool:
-            raise ConfigurationError(
-                f"{path}{key}: expected {getattr(typ, '__name__', typ)}, "
-                f"got {type(value).__name__}"
-            )
+    value = _check(block[key], typ, path + key)
+    if positive and not value > 0:
+        raise ConfigurationError(f"{path}{key}: must be positive, got {value}")
     return value
 
 
@@ -85,26 +102,25 @@ class RunConfig:
 
     mode: str
     raw: dict
-    grid: Grid | None = None
-    transport: TransportParams | None = None
-    network: ReactionNetwork | None = None
-    dt: float = 0.0
-    t_end: float = 0.0
-    snapshot_times: list = dc_field(default_factory=list)
-    series_m: int = 40
-    series_n: int = 40
-    quad_points: int | None = None
-    initial_kind: str = "zero"
-    initial_cell: tuple | None = None
-    initial_values: list = dc_field(default_factory=list)
-    slice_axis: str = "z"
-    slice_index: int = 1
-    trajectory_stride: int = 10
-    trajectory_spacing: int | None = None
-    trajectory_cells: list | None = None
-    alpha: float = DEFAULT_ALPHA
-    converge_nx: list = dc_field(default_factory=list)
-    unit_factor: float = 1.0
+    unit_factor: float
+    grid: Grid
+    transport: TransportParams
+    network: ReactionNetwork | None
+    dt: float
+    t_end: float
+    snapshot_times: list
+    series_m: int
+    series_n: int
+    quad_points: int | None
+    initial_kind: str
+    initial_cell: tuple | None
+    initial_values: list
+    slice_axis: str
+    slice_index: int
+    trajectory_stride: int
+    trajectory_cells: list
+    alpha: float
+    converge_nx: list
 
 
 def _parse_grid(cfg: dict, mode: str) -> Grid:
@@ -116,8 +132,8 @@ def _parse_grid(cfg: dict, mode: str) -> Grid:
 
 def _parse_transport(cfg: dict, ndim: int) -> TransportParams:
     block = _get(cfg, "transport", "", dict)
-    u = _get(block, "u", "transport.", list)
-    k = _get(block, "k", "transport.", list)
+    u = _get(block, "u", "transport.", list[float])
+    k = _get(block, "k", "transport.", list[float])
     if len(u) != ndim or len(k) != ndim:
         raise ConfigurationError(
             f"transport.u and transport.k must have {ndim} entries"
@@ -126,27 +142,25 @@ def _parse_transport(cfg: dict, ndim: int) -> TransportParams:
 
 
 def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | None:
-    block = cfg.get("chemistry")
+    block = _get(cfg, "chemistry", "", dict, default=None)
     if block is None:
         return None
-    species = _get(block, "species", "chemistry.", list)
+    species = _get(block, "species", "chemistry.", list[str])
     s = len(species)
     index = {name: j for j, name in enumerate(species)}
-    reactions = _get(block, "reactions", "chemistry.", list)
+    reactions = _get(block, "reactions", "chemistry.", list[dict])
     r = len(reactions)
     loss = np.zeros((s, r), dtype=int)
     gain = np.zeros((s, r), dtype=int)
     rates = []
     for kappa, rx in enumerate(reactions):
         path = f"chemistry.reactions[{kappa}]."
-        for name, count in _get(rx, "loss", path, dict, required=False, default={}).items():
-            if name not in index:
-                raise ConfigurationError(f"{path}loss: unknown species {name!r}")
-            loss[index[name], kappa] = count
-        for name, count in _get(rx, "gain", path, dict, required=False, default={}).items():
-            if name not in index:
-                raise ConfigurationError(f"{path}gain: unknown species {name!r}")
-            gain[index[name], kappa] = count
+        for side, matrix in (("loss", loss), ("gain", gain)):
+            counts = _get(rx, side, path, dict, default={})
+            for name in counts:
+                if name not in index:
+                    raise ConfigurationError(f"{path}{side}: unknown species {name!r}")
+                matrix[index[name], kappa] = _get(counts, name, f"{path}{side}.", int)
         rate = _get(rx, "rate", path, dict)
         kind = _get(rate, "kind", path + "rate.", str)
         if kind == "constant":
@@ -164,8 +178,7 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
                 "(expected 'constant' or 'photolysis_k1')"
             )
     sources = []
-    for i, src in enumerate(_get(block, "sources", "chemistry.", list,
-                                 required=False, default=[])):
+    for i, src in enumerate(_get(block, "sources", "chemistry.", list[dict], default=[])):
         path = f"chemistry.sources[{i}]."
         name = _get(src, "species", path, str)
         if name not in index:
@@ -179,8 +192,12 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
     )
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Load and validate a YAML run configuration."""
+def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
+    """Load and validate a YAML run configuration for the mode that will run.
+
+    mode defaults to the file's own `mode` key; a mode given here replaces
+    it, and the grid, transport and every other block are read for it.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -190,82 +207,96 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a mapping")
-    mode = _get(raw, "mode", "", str)
+    if mode is None:
+        mode = _get(raw, "mode", "", str)
     if mode not in MODES:
         raise ConfigurationError(f"mode: expected one of {MODES}, got {mode!r}")
-    cfg = RunConfig(mode=mode, raw=raw)
 
-    units = raw.get("units", {})
-    if units:
-        input_unit = _get(units, "input", "units.", str, required=False, default="model")
-        if input_unit == "per_cm3":
-            vol_m3 = _get(units, "cell_volume_m3", "units.", float)
-            cfg.unit_factor = vol_m3 * CM3_PER_M3
-        elif input_unit != "model":
+    units = _get(raw, "units", "", dict, default={})
+    input_unit = _get(units, "input", "units.", str, default="model")
+    if input_unit == "per_cm3":
+        unit_factor = _get(units, "cell_volume_m3", "units.", float,
+                           positive=True) * CM3_PER_M3
+    elif input_unit == "model":
+        unit_factor = 1.0
+    else:
+        raise ConfigurationError(
+            f"units.input: expected 'per_cm3' or 'model', got {input_unit!r}"
+        )
+
+    grid = _parse_grid(raw, mode)
+    transport = _parse_transport(raw, grid.ndim)
+    network = _parse_chemistry(raw, unit_factor, grid)
+
+    timed = mode != "analytic2d"
+    tblock = _get(raw, "time", "", dict, _REQUIRED if timed else {})
+    dt = _get(tblock, "dt", "time.", float, _REQUIRED if timed else 0.0, positive=True)
+    t_end = _get(tblock, "t_end", "time.", float, default=0.0)
+    snapshot_times = _get(tblock, "snapshots", "time.", list[float], default=[]) or [t_end]
+
+    sblock = _get(raw, "series", "", dict, default={})
+
+    iblock = _get(raw, "initial", "", dict, default={})
+    initial_kind = _get(iblock, "kind", "initial.", str, default="zero")
+    initial_cell, initial_values = None, []
+    if initial_kind == "point":
+        initial_cell = grid.interior_cell(_get(iblock, "cell", "initial.", list),
+                                          "initial.cell")
+        initial_values = [v * unit_factor
+                          for v in _get(iblock, "values", "initial.", list[float])]
+        n_species = network.species_count if network is not None else 1
+        if len(initial_values) != n_species:
             raise ConfigurationError(
-                f"units.input: expected 'per_cm3' or 'model', got {input_unit!r}"
+                f"initial.values: expected {n_species} entries, "
+                f"got {len(initial_values)}"
             )
-
-    cfg.grid = _parse_grid(raw, mode)
-    cfg.transport = _parse_transport(raw, cfg.grid.ndim)
-    cfg.network = _parse_chemistry(raw, cfg.unit_factor, cfg.grid)
-
-    tblock = _get(raw, "time", "", dict, required=mode != "analytic2d", default={})
-    if tblock:
-        cfg.dt = _get(tblock, "dt", "time.", float, required=mode != "analytic2d",
-                      default=0.0)
-        cfg.t_end = _get(tblock, "t_end", "time.", float, required=False, default=0.0)
-        cfg.snapshot_times = _get(tblock, "snapshots", "time.", list,
-                                  required=False, default=[])
-    if mode != "analytic2d" and not (cfg.dt > 0):
-        raise ConfigurationError(f"time.dt: must be positive, got {cfg.dt}")
-    if not cfg.snapshot_times and mode != "converge":
-        cfg.snapshot_times = [cfg.t_end]
-
-    sblock = raw.get("series", {})
-    if sblock:
-        cfg.series_m = _get(sblock, "M", "series.", int, required=False, default=40)
-        cfg.series_n = _get(sblock, "N", "series.", int, required=False, default=40)
-        cfg.quad_points = _get(sblock, "quad_points", "series.", int,
-                               required=False, default=None)
-
-    iblock = raw.get("initial", {})
-    if iblock:
-        cfg.initial_kind = _get(iblock, "kind", "initial.", str)
-        if cfg.initial_kind == "point":
-            cfg.initial_cell = cfg.grid.interior_cell(
-                _get(iblock, "cell", "initial.", list), "initial.cell")
-            cfg.initial_values = [
-                v * cfg.unit_factor
-                for v in _get(iblock, "values", "initial.", list)
-            ]
-        elif cfg.initial_kind not in ("sine_product", "zero"):
+    elif initial_kind == "sine_product":
+        if grid.ndim != 2:
             raise ConfigurationError(
-                f"initial.kind: expected sine_product, point or zero; "
-                f"got {cfg.initial_kind!r}"
+                f"initial.kind: sine_product needs a 2-D grid, got grid {grid.shape}"
             )
+    elif initial_kind != "zero":
+        raise ConfigurationError(
+            f"initial.kind: expected sine_product, point or zero; "
+            f"got {initial_kind!r}"
+        )
 
-    slc = raw.get("slice", {})
-    if slc:
-        cfg.slice_axis = _get(slc, "axis", "slice.", str, required=False, default="z")
-        cfg.slice_index = _get(slc, "index", "slice.", int, required=False, default=1)
+    slc = _get(raw, "slice", "", dict, default={})
 
-    traj = raw.get("trajectories", {})
-    if traj:
-        cfg.trajectory_stride = _get(traj, "stride", "trajectories.", int,
-                                     required=False, default=10)
-        cfg.trajectory_spacing = _get(traj, "cell_spacing", "trajectories.", int,
-                                      required=False, default=None)
-        cells = _get(traj, "cells", "trajectories.", list, required=False, default=None)
-        cfg.trajectory_cells = cells or None
+    # Listed cells are tracked as given (run3d validates them); without them a
+    # cell_spacing lattice of interior cells is tracked, by default in
+    # trajectories mode only.
+    traj = _get(raw, "trajectories", "", dict, default={})
+    spacing = _get(traj, "cell_spacing", "trajectories.", int,
+                   default=10 if mode == "trajectories" else None, positive=True)
+    cells = _get(traj, "cells", "trajectories.", list, default=[])
+    if not cells and spacing is not None:
+        cells = list(itertools.product(*(range(1, n - 1, spacing) for n in grid.shape)))
 
-    cfg.alpha = _get(raw, "alpha", "", float, required=False, default=DEFAULT_ALPHA)
-    conv = raw.get("converge", {})
+    converge_nx = []
     if mode == "converge":
-        cfg.converge_nx = _get(conv, "nx_levels", "converge.", list)
-        if len(cfg.converge_nx) < 3:
+        conv = _get(raw, "converge", "", dict, default={})
+        converge_nx = _get(conv, "nx_levels", "converge.", list[int])
+        if len(converge_nx) < 3:
             raise ConfigurationError("converge.nx_levels: need at least 3 levels")
-    return cfg
+
+    return RunConfig(
+        mode=mode, raw=raw, unit_factor=unit_factor,
+        grid=grid, transport=transport, network=network,
+        dt=dt, t_end=t_end, snapshot_times=snapshot_times,
+        series_m=_get(sblock, "M", "series.", int, default=40),
+        series_n=_get(sblock, "N", "series.", int, default=40),
+        quad_points=_get(sblock, "quad_points", "series.", int, default=None),
+        initial_kind=initial_kind, initial_cell=initial_cell,
+        initial_values=initial_values,
+        slice_axis=_get(slc, "axis", "slice.", str, default="z"),
+        slice_index=_get(slc, "index", "slice.", int, default=1),
+        trajectory_stride=_get(traj, "stride", "trajectories.", int, default=10,
+                               positive=True),
+        trajectory_cells=cells,
+        alpha=_get(raw, "alpha", "", float, default=DEFAULT_ALPHA),
+        converge_nx=converge_nx,
+    )
 
 
 def bundled_config_path(name: str) -> Path:
@@ -298,25 +329,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _field_rows_2d(field: Field, x, y):
-    vals = field.values
-    for i in range(vals.shape[1]):
-        for j in range(vals.shape[2]):
-            yield (float(x[i]), float(y[j]), *(float(vals[s, i, j])
-                                               for s in range(vals.shape[0])))
+def write_slice(path: Path, plane: np.ndarray, species: list[str],
+                labels=("i", "j"), coords=None) -> None:
+    """Write a (species, a, b) plane as one CSV row per node.
 
-
-def write_field_2d(path: Path, field: Field, species: list[str]) -> None:
-    x, y = field.grid.coords()
-    write_csv(path, ["x", "y", *species], _field_rows_2d(field, x, y))
-
-
-def write_slice(path: Path, plane: np.ndarray, species: list[str]) -> None:
-    rows = (
-        (int(a), int(b), *(float(plane[s, a, b]) for s in range(plane.shape[0])))
-        for a in range(plane.shape[1]) for b in range(plane.shape[2])
-    )
-    write_csv(path, ["i", "j", *species], rows)
+    A row holds the node's two coordinates (its indices, unless coords gives
+    the axis values) and then each species.
+    """
+    if coords is None:
+        coords = (range(plane.shape[1]), range(plane.shape[2]))
+    values = plane.reshape(plane.shape[0], -1).T.tolist()
+    rows = ((a, b, *v) for (a, b), v in zip(itertools.product(*coords), values))
+    write_csv(path, [*labels, *species], rows)
 
 
 class Manifest:
@@ -361,19 +385,41 @@ def _initial_field(cfg: RunConfig) -> Field:
         return sample_initial_2d(
             grid, lambda x, y: np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
         )
-    n_species = cfg.network.species_count if cfg.network is not None else 1
-    field = Field.zeros(grid, n_species)
+    field = Field.zeros(grid, len(_species_names(cfg)))
     if cfg.initial_kind == "point":
-        cell = cfg.initial_cell
-        if len(cfg.initial_values) != n_species:
-            raise ConfigurationError(
-                f"initial.values: expected {n_species} entries, "
-                f"got {len(cfg.initial_values)}"
-            )
         for s, v in enumerate(cfg.initial_values):
-            field.values[(s,) + cell] = v
+            field.values[(s,) + cfg.initial_cell] = v
         zero_dirichlet(field)
     return field
+
+
+def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
+    """Run the scheme of the grid's dimension from the configured initial field.
+
+    Records the stability report in the manifest and returns the
+    SnapshotSeries with the TrajectoryLog of a 3-D run (None in 2-D).
+    """
+    initial = _initial_field(cfg)
+    if cfg.grid.ndim == 2:
+        series = run2d(initial, cfg.transport, cfg.grid, cfg.dt, cfg.t_end,
+                       cfg.snapshot_times, override_stability=override)
+        log = None
+    else:
+        series, log = run3d(
+            initial, cfg.transport, cfg.grid, cfg.network, cfg.dt, cfg.t_end,
+            cfg.snapshot_times, slice_axis=cfg.slice_axis,
+            slice_index=cfg.slice_index, trajectory_cells=cfg.trajectory_cells,
+            trajectory_stride=cfg.trajectory_stride, override_stability=override,
+            alpha=cfg.alpha,
+        )
+    manifest.data["stability"] = series.stability.as_dict()
+    manifest.flush()
+    return series, log
+
+
+def _unit_sine(x, y):
+    """The initial profile of the analytic series: sin(pi x) sin(pi y)."""
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def _build_series_from_cfg(cfg: RunConfig):
@@ -383,10 +429,8 @@ def _build_series_from_cfg(cfg: RunConfig):
         raise ConfigurationError(
             "the analytic series requires one shared u and one shared k"
         )
-    return build_series(
-        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-        u, k, M=cfg.series_m, N=cfg.series_n, quad_points=cfg.quad_points,
-    )
+    return build_series(_unit_sine, u, k, M=cfg.series_m, N=cfg.series_n,
+                        quad_points=cfg.quad_points)
 
 
 def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
@@ -394,19 +438,17 @@ def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
     for t in cfg.snapshot_times:
         field = sample_series(sol, cfg.grid, t)
-        write_field_2d(out / f"series_t{_fmt(float(t))}.csv", field, ["c1"])
+        write_slice(out / f"series_t{_fmt(t)}.csv", field.values, ["c1"],
+                    ("x", "y"), cfg.grid.coords())
     manifest.finalize("ok", series={"M": sol.M, "N": sol.N})
 
 
 def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest,
                     override: bool) -> None:
-    initial = _initial_field(cfg)
-    series = run2d(initial, cfg.transport, cfg.grid, cfg.dt, cfg.t_end,
-                   cfg.snapshot_times, override_stability=override)
-    manifest.data["stability"] = series.stability.as_dict()
-    manifest.flush()
+    series, _ = _simulate(cfg, manifest, override)
     for step, field in zip(series.steps, series.fields):
-        write_field_2d(out / f"snap_t{step}.csv", field, _species_names(cfg))
+        write_slice(out / f"snap_t{step}.csv", field.values, _species_names(cfg),
+                    ("x", "y"), cfg.grid.coords())
     ok, violation = positivity_check(series)
     manifest.finalize(
         "ok",
@@ -418,36 +460,17 @@ def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest,
 
 
 def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
-                    override: bool, with_trajectories: bool) -> None:
-    initial = _initial_field(cfg)
-    cells = cfg.trajectory_cells
-    if cells is None and (with_trajectories or cfg.trajectory_spacing):
-        spacing = cfg.trajectory_spacing or 10
-        nx, ny, nz = cfg.grid.shape
-        cells = [
-            (i, j, k)
-            for i in range(1, nx - 1, spacing)
-            for j in range(1, ny - 1, spacing)
-            for k in range(1, nz - 1, spacing)
-        ]
+                    override: bool) -> None:
     t0 = time.perf_counter()
-    series, log = run3d(
-        initial, cfg.transport, cfg.grid, cfg.network, cfg.dt, cfg.t_end,
-        cfg.snapshot_times, slice_axis=cfg.slice_axis, slice_index=cfg.slice_index,
-        trajectory_cells=cells, trajectory_stride=cfg.trajectory_stride,
-        override_stability=override, alpha=cfg.alpha,
-    )
+    series, log = _simulate(cfg, manifest, override)
     wall = time.perf_counter() - t0
     names = _species_names(cfg)
-    manifest.data["stability"] = series.stability.as_dict()
-    manifest.flush()
     for step, plane in zip(series.steps, series.slices):
         write_slice(out / f"slice_t{step}.csv", plane, names)
-    if cells:
+    if log.cells:
         write_csv(out / "trajectories.csv",
                   ["t", "i", "j", "k", *names], log.rows())
-    n_steps = step_count(cfg.t_end, cfg.dt)
-    updates = cfg.grid.num_cells * initial.species_count * max(n_steps, 1)
+    updates = cfg.grid.num_cells * len(names) * max(step_count(cfg.t_end, cfg.dt), 1)
     ok, violation = positivity_check(series)
     manifest.finalize(
         "ok",
@@ -455,7 +478,7 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
         snapshot_times=series.times,
         wall_seconds=wall,
         cell_updates_per_second=updates / wall if wall > 0 else None,
-        chemistry_rate_scale=getattr(series, "chemistry_rate_scale", 0.0),
+        chemistry_rate_scale=series.chemistry_rate_scale,
         positivity={"ok": ok, "violation": violation},
         max_per_species={
             name: [float(f.values[s].max()) for f in series.fields]
@@ -472,11 +495,7 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
 def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest,
                  override: bool) -> None:
     sol = _build_series_from_cfg(cfg)
-    initial = _initial_field(cfg)
-    series = run2d(initial, cfg.transport, cfg.grid, cfg.dt, cfg.t_end,
-                   cfg.snapshot_times, override_stability=override)
-    manifest.data["stability"] = series.stability.as_dict()
-    manifest.flush()
+    series, _ = _simulate(cfg, manifest, override)
     reports = [
         max_error_vs_analytic(field, sol, t)
         for t, field in zip(series.times, series.fields)
@@ -500,11 +519,8 @@ def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
         grid = Grid((nx, nx), cfg.grid.lengths)
         dt = cfg.dt * (grid.spacing[0] / base_dx) ** 2
         levels.append((grid, dt))
-    t = cfg.snapshot_times[-1] if cfg.snapshot_times else cfg.t_end
-    order, reports = convergence_order(
-        levels, sol, t,
-        initial_profile=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-    )
+    order, reports = convergence_order(levels, sol, cfg.snapshot_times[-1],
+                                       initial_profile=_unit_sine)
     write_csv(out / "convergence.csv",
               ["nx", "dx", "dt", "max_abs_error"],
               [(g.shape[0], g.spacing[0], dt, r.max_abs_error)
@@ -520,19 +536,19 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg, threads)
     try:
-        if cfg.mode == "analytic2d":
-            _run_analytic2d(cfg, out, manifest)
-        elif cfg.mode == "simulate2d":
-            _run_simulate2d(cfg, out, manifest, override_stability)
-        elif cfg.mode in ("simulate3d", "trajectories"):
-            _run_simulate3d(cfg, out, manifest, override_stability,
-                            with_trajectories=cfg.mode == "trajectories")
-        elif cfg.mode == "compare":
-            _run_compare(cfg, out, manifest, override_stability)
-        elif cfg.mode == "converge":
-            _run_converge(cfg, out, manifest)
-        else:  # pragma: no cover - parse_config already rejects unknown modes
-            raise ConfigurationError(f"unknown mode {cfg.mode!r}")
+        match cfg.mode:
+            case "analytic2d":
+                _run_analytic2d(cfg, out, manifest)
+            case "simulate2d":
+                _run_simulate2d(cfg, out, manifest, override_stability)
+            case "simulate3d" | "trajectories":
+                _run_simulate3d(cfg, out, manifest, override_stability)
+            case "compare":
+                _run_compare(cfg, out, manifest, override_stability)
+            case "converge":
+                _run_converge(cfg, out, manifest)
+            case _:  # pragma: no cover - parse_config already rejects unknown modes
+                raise ConfigurationError(f"unknown mode {cfg.mode!r}")
     except AdrLabError as exc:
         manifest.finalize("failed", error=str(exc), **exc.manifest_fields())
         print(f"error: {exc}", file=sys.stderr)
@@ -564,8 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.target in MODES:
             if not args.config:
                 parser.error(f"mode {args.target!r} requires --config")
-            cfg = parse_config(args.config)
-            cfg.mode = args.target
+            cfg = parse_config(args.config, mode=args.target)
         else:
             raise ConfigurationError(
                 f"{args.target!r} is neither a config file nor one of {MODES}"

@@ -134,17 +134,15 @@ def boundedness_check(
     return bool((margins >= 0).all()), margins
 
 
-def positivity_check(
-    series: SnapshotSeries, tol_scale: float = 1e-12
-) -> tuple[bool, dict | None]:
-    """True iff every snapshot value is >= -tol, tol = tol_scale * field max.
+def positivity_check(series: SnapshotSeries) -> tuple[bool, dict | None]:
+    """True iff every snapshot value is >= -tol, tol = 1e-12 * field max.
 
     On failure returns the first violating (snapshot index, species, cell,
     value) for reporting.
     """
     for idx, snap in enumerate(series.fields):
         vmax = float(np.abs(snap.values).max())
-        tol = tol_scale * vmax
+        tol = 1e-12 * vmax
         vmin = float(snap.values.min())
         if vmin < -tol:
             where = np.argwhere(snap.values < -tol)[0]

@@ -169,19 +169,11 @@ def zero_dirichlet(field: Field) -> Field:
 def sample_initial_2d(grid: Grid, f: Callable[[float, float], float]) -> Field:
     """Sample f(x, y) at every node, then apply zero Dirichlet boundaries.
 
-    f is evaluated with numpy broadcasting when possible, falling back to
-    pointwise calls for non-vectorized callables.
+    f is called once on broadcast coordinate arrays (x down, y across).
     """
     x, y = grid.coords()
-    try:
-        vals = np.asarray(f(x[:, None], y[None, :]), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.empty(grid.shape)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                vals[i, j] = f(xi, yj)
+    vals = np.empty(grid.shape)
+    vals[...] = f(x[:, None], y[None, :])
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]

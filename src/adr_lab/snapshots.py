@@ -75,6 +75,7 @@ class SnapshotSeries:
     fields: list[Field] = field(default_factory=list)
     slices: list[np.ndarray] = field(default_factory=list)  # 3-D runs only
     stability: Stability | None = None
+    chemistry_rate_scale: float = 0.0  # 3-D runs with chemistry only
 
     def append(self, step: int, time: float, snapshot: Field,
                plane: np.ndarray | None = None) -> None:
@@ -83,9 +84,6 @@ class SnapshotSeries:
         self.fields.append(snapshot)
         if plane is not None:
             self.slices.append(plane)
-
-    def __len__(self) -> int:
-        return len(self.fields)
 
 
 def run_steps(initial: Field, advance, dt: float, t_end: float,

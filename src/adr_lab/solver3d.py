@@ -192,10 +192,9 @@ def run3d(
             f"of size {grid.shape[axis]}"
         )
     report = stability3d(params, grid, dt, alpha)
-    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
-    series.chemistry_rate_scale = (
-        _reaction_rate_warning(network, initial, dt) if network is not None else 0.0
-    )
+    scale = _reaction_rate_warning(network, initial, dt) if network is not None else 0.0
+    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report,
+                            chemistry_rate_scale=scale)
 
     log = TrajectoryLog(
         cells=[grid.interior_cell(c, f"trajectories.cells[{n}]")

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from adr_lab import ConfigurationError, stability2d, stability3d
 from adr_lab import cli
@@ -41,6 +45,31 @@ SIM3D_SMALL = {
     "slice": {"axis": "z", "index": 1},
     "trajectories": {"stride": 2, "cells": [[1, 1, 1], [4, 4, 4]]},
 }
+
+
+def _traj_default_lattice():
+    # 13 nodes per axis give the default spacing-10 lattice two points per axis
+    cfg = json.loads(json.dumps(SIM3D_SMALL))
+    cfg["mode"] = "trajectories"
+    cfg["grid"].update(nx=13, ny=13, nz=13)
+    del cfg["trajectories"]
+    return cfg
+
+
+# Small runs whose CSV bytes and manifest keys are pinned in
+# tests/data/small_digests.json (recorded before the CLI set-up was merged).
+SMALL_RUNS = {
+    "compare": COMPARE_SMALL,
+    "simulate2d": dict(COMPARE_SMALL, mode="simulate2d"),
+    "analytic2d": dict(COMPARE_SMALL, mode="analytic2d"),
+    "converge": dict(COMPARE_SMALL, mode="converge",
+                     converge={"nx_levels": [12, 16, 24]}),
+    "simulate3d-cell-spacing": dict(SIM3D_SMALL,
+                                    trajectories={"stride": 3, "cell_spacing": 3}),
+    "trajectories-default-lattice": _traj_default_lattice(),
+}
+
+SMALL_DIGESTS = Path(__file__).parent / "data" / "small_digests.json"
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -182,8 +211,17 @@ def test_divergence_exit_code(tmp_path):
     (("initial", "cell"), [-1, 1, 1], "initial.cell"),
     (("trajectories", "cells"), [[1, 1]], "trajectories.cells[0]"),
     (("time", "dt"), 0, "time.dt"),
+    (("trajectories", "stride"), 0, "trajectories.stride"),
+    (("trajectories", "stride"), -1, "trajectories.stride"),
+    (("trajectories", "cell_spacing"), 0, "trajectories.cell_spacing"),
+    (("initial", "kind"), "sine_product", "initial.kind"),
+    (("transport", "u"), ["a", 1, 1], "transport.u"),
+    (("chemistry", "reactions", 0, "loss"), {"NO2": 1.5}, "chemistry.reactions[0].loss"),
+    (("units", "cell_volume_m3"), 0, "units.cell_volume_m3"),
 ], ids=["source-outside", "source-2-indices", "source-on-boundary",
-        "initial-negative", "tracked-2-indices", "dt-zero"])
+        "initial-negative", "tracked-2-indices", "dt-zero", "stride-zero",
+        "stride-negative", "cell-spacing-zero", "sine-product-3d", "u-not-number",
+        "loss-fraction", "cell-volume-zero"])
 def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     raw = yaml.safe_load(bundled_config_path("ozone-3d.yaml").read_text())
     raw["grid"].update(nx=11, ny=11, nz=11)
@@ -198,6 +236,65 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     manifest = out / "manifest.json"
     # parse-time rejections stop before the manifest is written
     assert not manifest.exists() or json.loads(manifest.read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("converge", "nx_levels"), [12, 16, "x"], "converge.nx_levels"),
+    (("initial", "kind"), "blob", "initial.kind"),
+], ids=["nx-levels-not-int", "initial-kind-unknown"])
+def test_bad_2d_config_exits_1_naming_key(tmp_path, capsys, path, value, key):
+    raw = dict(COMPARE_SMALL, mode="converge", converge={"nx_levels": [12, 16, 24]})
+    raw = json.loads(json.dumps(raw))
+    raw[path[0]][path[1]] = value
+    out = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, raw)), "--out-dir", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode, payload, key", [
+    ("simulate3d", COMPARE_SMALL, "grid.nz"),
+    ("trajectories", COMPARE_SMALL, "grid.nz"),
+    ("compare", SIM3D_SMALL, "transport"),
+    ("simulate2d", SIM3D_SMALL, "transport"),
+], ids=["simulate3d-2d-file", "trajectories-2d-file", "compare-3d-file",
+        "simulate2d-3d-file"])
+def test_mode_argument_parses_config_for_that_mode(tmp_path, capsys, mode, payload, key):
+    out = tmp_path / "out"
+    argv = [mode, "--config", str(write_cfg(tmp_path, payload)), "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_mode_argument_selects_trajectory_lattice(tmp_path):
+    # the file's own mode (simulate3d) tracks nothing; trajectories mode tracks
+    # the default spacing-10 lattice, which on 9 nodes per axis is one cell
+    payload = {k: v for k, v in SIM3D_SMALL.items() if k != "trajectories"}
+    path = write_cfg(tmp_path, payload)
+    cfg = parse_config(path, mode="trajectories")
+    assert cfg.mode == "trajectories" and cfg.trajectory_cells == [(1, 1, 1)]
+    assert parse_config(path).trajectory_cells == []
+    out = tmp_path / "out"
+    assert main(["trajectories", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["mode"] == "trajectories"
+    assert (out / "trajectories.csv").read_text().splitlines()[1].startswith("0.0,1,1,1,")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chemistry_overflow_reports_step_species_and_cell(tmp_path, capsys):
+    payload = json.loads(json.dumps(SIM3D_SMALL))
+    payload["chemistry"]["reactions"][1]["rate"]["value"] = 1e9
+    out = tmp_path / "out"
+    argv = [str(write_cfg(tmp_path, payload)), "--out-dir", str(out),
+            "--override-stability"]
+    assert main(argv) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    step = manifest["diverged_at_step"]
+    assert 1 <= step <= 10
+    err = capsys.readouterr().err
+    assert f"after step {step} " in err and "species" in err and "cell (" in err
 
 
 def test_unexpected_fault_finalizes_manifest(tmp_path, monkeypatch):
@@ -295,3 +392,99 @@ def test_converge_mode(tmp_path):
     rows = (out / "convergence.csv").read_text().splitlines()
     assert rows[0] == "nx,dx,dt,max_abs_error"
     assert len(rows) == 4
+
+
+def _run_small(tmp_path, name):
+    out = tmp_path / "out"
+    assert main([str(write_cfg(tmp_path, SMALL_RUNS[name])), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {"files": hash_outputs(out), "manifest_keys": list(manifest)}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_small_run_bytes_match_recorded_digests(tmp_path, name):
+    recorded = json.loads(SMALL_DIGESTS.read_text())[name]
+    assert _run_small(tmp_path, name) == recorded
+
+
+# Property test: configs mutated from small valid ones (at most 7 nodes per
+# axis, 4 steps) end with a documented exit code and never with a traceback or
+# a manifest left at "running".
+PROPERTY_BASES = {
+    "3d": dict(SIM3D_SMALL, grid=dict(SIM3D_SMALL["grid"], nx=7, ny=7, nz=7),
+               time={"dt": 1.0, "t_end": 4.0, "snapshots": [0.0, 4.0]}),
+    "2d": dict(COMPARE_SMALL, grid=dict(COMPARE_SMALL["grid"], nx=7, ny=7),
+               transport={"u": [2.0, 2.0], "k": [0.5, 0.5]},
+               time={"dt": 4e-4, "t_end": 1.6e-3, "snapshots": [1.6e-3]},
+               converge={"nx_levels": [5, 6, 7]}),
+}
+DROP = object()
+MUTATIONS = {
+    ("grid", "nx"): [2, "x", 7.5],
+    ("grid", "nz"): [2, "x"],
+    ("grid", "Lx"): [0, -1.0, "x"],
+    ("transport", "u"): [["a", 1, 1], [1], [-1, 1, 1], "x"],
+    ("transport", "k"): [[0, 0, 0], [0, 0], [-1, 0, 0]],
+    ("time", "dt"): [0, -1, "x", 1e3],
+    ("time", "t_end"): [0, -1, "x"],
+    ("time", "snapshots"): [[4, 1], [-1], ["x"], [99]],
+    ("initial", "kind"): ["sine_product", "point", "blob", 3],
+    ("initial", "cell"): [[0, 1, 1], [1, 1], [99, 1, 1], "x"],
+    ("initial", "values"): [[1], ["a", 1, 1], 5],
+    ("trajectories", "stride"): [0, -1, "x", 1.5],
+    ("trajectories", "cell_spacing"): [0, -3, "x", 1],
+    ("trajectories", "cells"): [[[1, 1]], [[0, 1, 1]], [5], "x"],
+    ("converge", "nx_levels"): [[5, 6, "x"], [5, 6], [2, 3, 4], "x"],
+    ("chemistry", "reactions", 0, "loss"): [{"NO2": 1.5}, {"XX": 1}, {"NO2": -1}, "x"],
+    ("chemistry", "sources", 0, "cell"): [[0, 1, 1], [1, 1], [9, 9, 9]],
+    ("units", "cell_volume_m3"): [0, -1, "x"],
+    ("slice", "index"): [99, -1, "x"],
+    ("slice", "axis"): ["w", 1],
+    ("series", "M"): [0, -1, 1.5],
+    ("series", "quad_points"): [3, "x"],
+    ("alpha",): [0, 1.5, "x"],
+}
+mutation = st.sampled_from(list(MUTATIONS)).flatmap(
+    lambda path: st.tuples(st.just(path), st.sampled_from([DROP, *MUTATIONS[path]])))
+
+
+def _mutate(cfg: dict, path: tuple, value) -> None:
+    block = cfg
+    for part in path[:-1]:
+        try:
+            block = block[part]
+        except (KeyError, IndexError, TypeError):
+            return
+    if not isinstance(block, dict):
+        return
+    if value is DROP:
+        block.pop(path[-1], None)
+    else:
+        block[path[-1]] = value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from(sorted(PROPERTY_BASES)),
+       mode=st.sampled_from(cli.MODES) | st.text(alphabet="abcdz", max_size=6),
+       mode_on_command_line=st.booleans(),
+       mutations=st.lists(mutation, max_size=3))
+def test_mutated_configs_end_with_documented_exit_code(base, mode, mode_on_command_line,
+                                                       mutations):
+    cfg = json.loads(json.dumps(PROPERTY_BASES[base]))
+    if not mode_on_command_line:
+        cfg["mode"] = mode
+    for path, value in mutations:
+        _mutate(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = Path(tmp) / "out"
+        argv = [mode, "--config", str(path)] if mode_on_command_line else [str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*argv, "--out-dir", str(out)])
+        assert rc in (0, 1, 2, 3)
+        manifest = out / "manifest.json"
+        assert not manifest.exists() or \
+            json.loads(manifest.read_text())["status"] != "running"

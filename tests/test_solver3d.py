@@ -230,8 +230,9 @@ def test_run_detects_divergence_with_location():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_chemistry_raises_numeric_error():
-    from adr_lab import NumericError
+    from adr_lab import DivergenceError
     grid = _box(5, 4.0)
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     net = ReactionNetwork(
@@ -241,8 +242,11 @@ def test_overflowing_chemistry_raises_numeric_error():
     )
     init = Field.zeros(grid)
     init.values[0, 2, 2, 2] = 1e10
-    with pytest.raises(NumericError):
+    # the time loop's finite check, not the chemistry, reports the overflow
+    message = r"after step 1 .*species 0, cell \(2, 2, 2\)"
+    with pytest.raises(DivergenceError, match=message) as exc:
         run3d(init, params, grid, net, 1.0, 10.0, [10.0])
+    assert exc.value.step == 1
 
 
 def test_run_unstable_raises_stability_error():
