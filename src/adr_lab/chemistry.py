@@ -66,18 +66,15 @@ class PhotolysisK1:
     """Sunlight-driven rate: 24 h-periodic, peaking at noon.
 
     Daytime (4 <= local hour < 20):
-        day_scale * exp(7 * sin(pi*(hour - 4)/16) ** 0.2)
-    otherwise the night floor.  At dawn the sine vanishes and 0**0.2 = 0, so
-    the rate is continuous from the right at 04:00; the dusk-side jump down
-    to the night value is part of the schedule.
+        K1_DAY_SCALE * exp(7 * sin(pi*(hour - 4)/16) ** 0.2)
+    otherwise K1_NIGHT.  At dawn the sine vanishes and 0**0.2 = 0, so the
+    rate is continuous from the right at 04:00; the dusk-side jump down to
+    the night value is part of the schedule.
     """
-
-    day_scale: float = K1_DAY_SCALE
-    night: float = K1_NIGHT
 
     @property
     def bound(self) -> float:
-        return self.day_scale * math.exp(7.0)
+        return K1_DAY_SCALE * math.exp(7.0)
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -87,8 +84,8 @@ class PhotolysisK1:
         hour = math.fmod(t, 86400.0) / 3600.0
         if DAY_START_HOUR <= hour < DAY_END_HOUR:
             sec = math.sin(math.pi * (hour - DAY_START_HOUR) / 16.0) ** 0.2
-            return self.day_scale * math.exp(7.0 * sec)
-        return self.night
+            return K1_DAY_SCALE * math.exp(7.0 * sec)
+        return K1_NIGHT
 
 
 _DEFAULT_K1 = PhotolysisK1()
@@ -277,7 +274,6 @@ def ozone_network(
     k2: float = 1e-16,
     sigma2: float | None = 1e6,
     source_cell: tuple[int, int, int] = (1, 1, 1),
-    photolysis: PhotolysisK1 | ConstantRate | None = None,
 ) -> ReactionNetwork:
     """Tropospheric NO/NO2/O3 pair of reactions.
 
@@ -297,8 +293,7 @@ def ozone_network(
         [0, 1],
         [1, 0],
     ])
-    rates = (photolysis if photolysis is not None else PhotolysisK1(),
-             ConstantRate(k2))
+    rates = (PhotolysisK1(), ConstantRate(k2))
     sources = ()
     if sigma2 is not None:
         sources = (PointSource(species=0, cell=tuple(source_cell), rate=sigma2),)

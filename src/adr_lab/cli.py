@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation error, 2 numeric divergence,
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 import math
@@ -52,8 +53,6 @@ from .snapshots import step_count
 from .solver2d import run2d
 from .solver3d import DEFAULT_ALPHA, run3d
 
-MODES = ("analytic2d", "simulate2d", "simulate3d", "compare", "converge", "trajectories")
-
 CM3_PER_M3 = 1.0e6
 
 
@@ -82,7 +81,9 @@ _REQUIRED = object()
 def _get(block: dict, key: str, path: str, typ, default=_REQUIRED, positive: bool = False):
     """block[key] checked against typ; required unless a default is given.
 
-    A key set to null counts as absent.
+    A key set to null counts as absent.  A value that holds no mappings is
+    removed from block once read, so what parse_config leaves behind is
+    what the mode did not read.
     """
     if not isinstance(block, dict):
         raise ConfigurationError(f"{path or 'config'}: expected a mapping")
@@ -93,12 +94,26 @@ def _get(block: dict, key: str, path: str, typ, default=_REQUIRED, positive: boo
     value = _check(block[key], typ, path + key)
     if positive and not value > 0:
         raise ConfigurationError(f"{path}{key}: must be positive, got {value}")
+    if typ not in (dict, list[dict]):
+        del block[key]
     return value
+
+
+def _unread(node, path: str) -> list[str]:
+    """Key paths of the non-null values left in node; path ends with a dot."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _unread(v, f"{path}{k}.")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _unread(v, f"{path[:-1]}[{i}].")]
+    return [] if node is None else [path[:-1]]
 
 
 @dataclass
 class RunConfig:
-    """Validated run definition; all numeric blocks resolved to model units."""
+    """Validated run definition; all numeric blocks resolved to model units.
+
+    Fields of blocks the mode does not read are None.
+    """
 
     mode: str
     raw: dict
@@ -106,21 +121,22 @@ class RunConfig:
     grid: Grid
     transport: TransportParams
     network: ReactionNetwork | None
+    species: list[str]
     dt: float
     t_end: float
     snapshot_times: list
-    series_m: int
-    series_n: int
-    quad_points: int | None
     initial_kind: str
-    initial_cell: tuple | None
-    initial_values: list
-    slice_axis: str
-    slice_index: int
-    trajectory_stride: int
-    trajectory_cells: list
-    alpha: float
-    converge_nx: list
+    initial_cell: tuple | None = None
+    initial_values: list | None = None
+    series_m: int | None = None
+    series_n: int | None = None
+    quad_points: int | None = None
+    slice_axis: str | None = None
+    slice_index: int | None = None
+    trajectory_stride: int | None = None
+    trajectory_cells: list | None = None
+    alpha: float | None = None
+    converge_nx: list | None = None
 
 
 def _parse_grid(cfg: dict, mode: str) -> Grid:
@@ -157,7 +173,7 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
         path = f"chemistry.reactions[{kappa}]."
         for side, matrix in (("loss", loss), ("gain", gain)):
             counts = _get(rx, side, path, dict, default={})
-            for name in counts:
+            for name in list(counts):
                 if name not in index:
                     raise ConfigurationError(f"{path}{side}: unknown species {name!r}")
                 matrix[index[name], kappa] = _get(counts, name, f"{path}{side}.", int)
@@ -196,7 +212,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     """Load and validate a YAML run configuration for the mode that will run.
 
     mode defaults to the file's own `mode` key; a mode given here replaces
-    it, and the grid, transport and every other block are read for it.
+    it, and the grid, transport and every other block are read for it.  A
+    key the mode does not read is an error.
     """
     path = Path(path)
     if not path.is_file():
@@ -207,12 +224,15 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a mapping")
+    cfg = copy.deepcopy(raw)
     if mode is None:
-        mode = _get(raw, "mode", "", str)
+        mode = _get(cfg, "mode", "", str)
+    cfg.pop("mode", None)
     if mode not in MODES:
         raise ConfigurationError(f"mode: expected one of {MODES}, got {mode!r}")
+    series_mode = mode in ("analytic2d", "compare", "converge")
 
-    units = _get(raw, "units", "", dict, default={})
+    units = _get(cfg, "units", "", dict, default={})
     input_unit = _get(units, "input", "units.", str, default="model")
     if input_unit == "per_cm3":
         unit_factor = _get(units, "cell_volume_m3", "units.", float,
@@ -224,78 +244,100 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
             f"units.input: expected 'per_cm3' or 'model', got {input_unit!r}"
         )
 
-    grid = _parse_grid(raw, mode)
-    transport = _parse_transport(raw, grid.ndim)
-    network = _parse_chemistry(raw, unit_factor, grid)
+    grid = _parse_grid(cfg, mode)
+    transport = _parse_transport(cfg, grid.ndim)
+    network = _parse_chemistry(cfg, unit_factor, grid) if grid.ndim == 3 else None
+    species = list(network.species) if network is not None else ["c1"]
 
     timed = mode != "analytic2d"
-    tblock = _get(raw, "time", "", dict, _REQUIRED if timed else {})
+    tblock = _get(cfg, "time", "", dict, _REQUIRED if timed else {})
     dt = _get(tblock, "dt", "time.", float, _REQUIRED if timed else 0.0, positive=True)
     t_end = _get(tblock, "t_end", "time.", float, default=0.0)
     snapshot_times = _get(tblock, "snapshots", "time.", list[float], default=[]) or [t_end]
 
-    sblock = _get(raw, "series", "", dict, default={})
-
-    iblock = _get(raw, "initial", "", dict, default={})
-    initial_kind = _get(iblock, "kind", "initial.", str, default="zero")
-    initial_cell, initial_values = None, []
-    if initial_kind == "point":
-        initial_cell = grid.interior_cell(_get(iblock, "cell", "initial.", list),
-                                          "initial.cell")
-        initial_values = [v * unit_factor
-                          for v in _get(iblock, "values", "initial.", list[float])]
-        n_species = network.species_count if network is not None else 1
-        if len(initial_values) != n_species:
-            raise ConfigurationError(
-                f"initial.values: expected {n_species} entries, "
-                f"got {len(initial_values)}"
-            )
-    elif initial_kind == "sine_product":
-        if grid.ndim != 2:
-            raise ConfigurationError(
-                f"initial.kind: sine_product needs a 2-D grid, got grid {grid.shape}"
-            )
-    elif initial_kind != "zero":
+    # The first kind is the default.
+    if series_mode:
+        kinds = ("sine_product",)
+    elif grid.ndim == 2:
+        kinds = ("zero", "point", "sine_product")
+    else:
+        kinds = ("zero", "point")
+    fields = {}
+    iblock = _get(cfg, "initial", "", dict, default={})
+    initial_kind = _get(iblock, "kind", "initial.", str, default=kinds[0])
+    if initial_kind not in kinds:
         raise ConfigurationError(
-            f"initial.kind: expected sine_product, point or zero; "
-            f"got {initial_kind!r}"
+            f"initial.kind: mode {mode} takes one of {kinds}, got {initial_kind!r}"
+        )
+    if initial_kind == "point":
+        fields["initial_cell"] = grid.interior_cell(_get(iblock, "cell", "initial.", list),
+                                                    "initial.cell")
+        values = [v * unit_factor for v in _get(iblock, "values", "initial.", list[float])]
+        if len(values) != len(species):
+            raise ConfigurationError(
+                f"initial.values: expected {len(species)} entries, got {len(values)}"
+            )
+        fields["initial_values"] = values
+
+    if grid.ndim == 2:
+        sblock = _get(cfg, "series", "", dict, default={})
+        fields.update(
+            series_m=_get(sblock, "M", "series.", int, default=40),
+            series_n=_get(sblock, "N", "series.", int, default=40),
+            quad_points=_get(sblock, "quad_points", "series.", int, default=None),
+        )
+    else:
+        # Listed cells are tracked as given (run3d validates them); without
+        # them a cell_spacing lattice of interior cells is tracked, by default
+        # in trajectories mode only.
+        slc = _get(cfg, "slice", "", dict, default={})
+        traj = _get(cfg, "trajectories", "", dict, default={})
+        spacing = _get(traj, "cell_spacing", "trajectories.", int,
+                       default=10 if mode == "trajectories" else None, positive=True)
+        cells = _get(traj, "cells", "trajectories.", list, default=[])
+        if not cells and spacing is not None:
+            lattice = (range(1, n - 1, spacing) for n in grid.shape)
+            cells = list(itertools.product(*lattice))
+        fields.update(
+            slice_axis=_get(slc, "axis", "slice.", str, default="z"),
+            slice_index=_get(slc, "index", "slice.", int, default=1),
+            trajectory_stride=_get(traj, "stride", "trajectories.", int, default=10,
+                                   positive=True),
+            trajectory_cells=cells,
+            alpha=_get(cfg, "alpha", "", float, default=DEFAULT_ALPHA),
         )
 
-    slc = _get(raw, "slice", "", dict, default={})
-
-    # Listed cells are tracked as given (run3d validates them); without them a
-    # cell_spacing lattice of interior cells is tracked, by default in
-    # trajectories mode only.
-    traj = _get(raw, "trajectories", "", dict, default={})
-    spacing = _get(traj, "cell_spacing", "trajectories.", int,
-                   default=10 if mode == "trajectories" else None, positive=True)
-    cells = _get(traj, "cells", "trajectories.", list, default=[])
-    if not cells and spacing is not None:
-        cells = list(itertools.product(*(range(1, n - 1, spacing) for n in grid.shape)))
-
-    converge_nx = []
+    # The analytic series is derived on the unit square for one shared u and k.
+    if series_mode:
+        for axis, length in zip("xy", grid.lengths):
+            if not math.isclose(length, 1.0):
+                raise ConfigurationError(
+                    f"grid.L{axis}: the analytic series needs the unit square, "
+                    f"got {length}"
+                )
+        for key, values in (("u", transport.u), ("k", transport.k)):
+            if not math.isclose(*values):
+                raise ConfigurationError(
+                    f"transport.{key}: the analytic series needs equal entries, "
+                    f"got {list(values)}"
+                )
     if mode == "converge":
-        conv = _get(raw, "converge", "", dict, default={})
-        converge_nx = _get(conv, "nx_levels", "converge.", list[int])
-        if len(converge_nx) < 3:
-            raise ConfigurationError("converge.nx_levels: need at least 3 levels")
+        conv = _get(cfg, "converge", "", dict, default={})
+        levels = _get(conv, "nx_levels", "converge.", list[int])
+        if len(levels) < 3 or any(a >= b for a, b in zip(levels, levels[1:])):
+            raise ConfigurationError(
+                f"converge.nx_levels: need at least 3 strictly increasing levels, "
+                f"got {levels}"
+            )
+        fields["converge_nx"] = levels
 
+    unread = _unread(cfg, "")
+    if unread:
+        raise ConfigurationError(f"keys not read by mode {mode}: {', '.join(unread)}")
     return RunConfig(
-        mode=mode, raw=raw, unit_factor=unit_factor,
-        grid=grid, transport=transport, network=network,
-        dt=dt, t_end=t_end, snapshot_times=snapshot_times,
-        series_m=_get(sblock, "M", "series.", int, default=40),
-        series_n=_get(sblock, "N", "series.", int, default=40),
-        quad_points=_get(sblock, "quad_points", "series.", int, default=None),
-        initial_kind=initial_kind, initial_cell=initial_cell,
-        initial_values=initial_values,
-        slice_axis=_get(slc, "axis", "slice.", str, default="z"),
-        slice_index=_get(slc, "index", "slice.", int, default=1),
-        trajectory_stride=_get(traj, "stride", "trajectories.", int, default=10,
-                               positive=True),
-        trajectory_cells=cells,
-        alpha=_get(raw, "alpha", "", float, default=DEFAULT_ALPHA),
-        converge_nx=converge_nx,
+        mode=mode, raw=raw, unit_factor=unit_factor, grid=grid, transport=transport,
+        network=network, species=species, dt=dt, t_end=t_end,
+        snapshot_times=snapshot_times, initial_kind=initial_kind, **fields,
     )
 
 
@@ -372,20 +414,16 @@ class Manifest:
 # mode runners
 
 
-def _species_names(cfg: RunConfig) -> list[str]:
-    if cfg.network is not None:
-        return list(cfg.network.species)
-    return ["c1"]
+def _sine_product(grid: Grid):
+    """The profile sin(pi x / Lx) sin(pi y / Ly) of the series modes."""
+    Lx, Ly = grid.lengths
+    return lambda x, y: np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
 
 
 def _initial_field(cfg: RunConfig) -> Field:
-    grid = cfg.grid
     if cfg.initial_kind == "sine_product":
-        Lx, Ly = grid.lengths
-        return sample_initial_2d(
-            grid, lambda x, y: np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
-        )
-    field = Field.zeros(grid, len(_species_names(cfg)))
+        return sample_initial_2d(cfg.grid, _sine_product(cfg.grid))
+    field = Field.zeros(cfg.grid, len(cfg.species))
     if cfg.initial_kind == "point":
         for s, v in enumerate(cfg.initial_values):
             field.values[(s,) + cfg.initial_cell] = v
@@ -417,37 +455,26 @@ def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
     return series, log
 
 
-def _unit_sine(x, y):
-    """The initial profile of the analytic series: sin(pi x) sin(pi y)."""
-    return np.sin(np.pi * x) * np.sin(np.pi * y)
+def _series(cfg: RunConfig):
+    """The analytic series of the config's problem (checked at parse time)."""
+    return build_series(_sine_product(cfg.grid), cfg.transport.u[0], cfg.transport.k[0],
+                        M=cfg.series_m, N=cfg.series_n, quad_points=cfg.quad_points)
 
 
-def _build_series_from_cfg(cfg: RunConfig):
-    u, k = cfg.transport.u[0], cfg.transport.k[0]
-    if any(not math.isclose(v, u) for v in cfg.transport.u) or \
-       any(not math.isclose(v, k) for v in cfg.transport.k):
-        raise ConfigurationError(
-            "the analytic series requires one shared u and one shared k"
-        )
-    return build_series(_unit_sine, u, k, M=cfg.series_m, N=cfg.series_n,
-                        quad_points=cfg.quad_points)
-
-
-def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
-    sol = _build_series_from_cfg(cfg)
+def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+    sol = _series(cfg)
     write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
     for t in cfg.snapshot_times:
         field = sample_series(sol, cfg.grid, t)
-        write_slice(out / f"series_t{_fmt(t)}.csv", field.values, ["c1"],
+        write_slice(out / f"series_t{_fmt(t)}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
     manifest.finalize("ok", series={"M": sol.M, "N": sol.N})
 
 
-def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest,
-                    override: bool) -> None:
+def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
     series, _ = _simulate(cfg, manifest, override)
     for step, field in zip(series.steps, series.fields):
-        write_slice(out / f"snap_t{step}.csv", field.values, _species_names(cfg),
+        write_slice(out / f"snap_t{step}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
     ok, violation = positivity_check(series)
     manifest.finalize(
@@ -459,18 +486,16 @@ def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest,
     )
 
 
-def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
-                    override: bool) -> None:
+def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
     t0 = time.perf_counter()
     series, log = _simulate(cfg, manifest, override)
     wall = time.perf_counter() - t0
-    names = _species_names(cfg)
     for step, plane in zip(series.steps, series.slices):
-        write_slice(out / f"slice_t{step}.csv", plane, names)
+        write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
     if log.cells:
         write_csv(out / "trajectories.csv",
-                  ["t", "i", "j", "k", *names], log.rows())
-    updates = cfg.grid.num_cells * len(names) * max(step_count(cfg.t_end, cfg.dt), 1)
+                  ["t", "i", "j", "k", *cfg.species], log.rows())
+    updates = cfg.grid.num_cells * len(cfg.species) * max(step_count(cfg.t_end, cfg.dt), 1)
     ok, violation = positivity_check(series)
     manifest.finalize(
         "ok",
@@ -482,19 +507,18 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest,
         positivity={"ok": ok, "violation": violation},
         max_per_species={
             name: [float(f.values[s].max()) for f in series.fields]
-            for s, name in enumerate(names)
+            for s, name in enumerate(cfg.species)
         },
         slice_max_per_species={
             name: [float(p[s].max()) for p in series.slices]
-            for s, name in enumerate(names)
+            for s, name in enumerate(cfg.species)
         },
         l2_norms=[l2_norm(f) for f in series.fields],
     )
 
 
-def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest,
-                 override: bool) -> None:
-    sol = _build_series_from_cfg(cfg)
+def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+    sol = _series(cfg)
     series, _ = _simulate(cfg, manifest, override)
     reports = [
         max_error_vs_analytic(field, sol, t)
@@ -511,8 +535,8 @@ def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest,
     )
 
 
-def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
-    sol = _build_series_from_cfg(cfg)
+def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+    sol = _series(cfg)
     base_dx = cfg.grid.spacing[0]
     levels = []
     for nx in cfg.converge_nx:
@@ -520,13 +544,25 @@ def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
         dt = cfg.dt * (grid.spacing[0] / base_dx) ** 2
         levels.append((grid, dt))
     order, reports = convergence_order(levels, sol, cfg.snapshot_times[-1],
-                                       initial_profile=_unit_sine)
+                                       _sine_product(cfg.grid))
     write_csv(out / "convergence.csv",
               ["nx", "dx", "dt", "max_abs_error"],
               [(g.shape[0], g.spacing[0], dt, r.max_abs_error)
                for (g, dt), r in zip(levels, reports)])
     print(f"measured spatial order: {order:.4f}")
     manifest.finalize("ok", measured_order=order)
+
+
+# Each mode's runner, in the order the CLI lists the modes.
+_RUNNERS = {
+    "analytic2d": _run_analytic2d,
+    "simulate2d": _run_simulate2d,
+    "simulate3d": _run_simulate3d,
+    "compare": _run_compare,
+    "converge": _run_converge,
+    "trajectories": _run_simulate3d,
+}
+MODES = tuple(_RUNNERS)
 
 
 def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
@@ -536,19 +572,7 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg, threads)
     try:
-        match cfg.mode:
-            case "analytic2d":
-                _run_analytic2d(cfg, out, manifest)
-            case "simulate2d":
-                _run_simulate2d(cfg, out, manifest, override_stability)
-            case "simulate3d" | "trajectories":
-                _run_simulate3d(cfg, out, manifest, override_stability)
-            case "compare":
-                _run_compare(cfg, out, manifest, override_stability)
-            case "converge":
-                _run_converge(cfg, out, manifest)
-            case _:  # pragma: no cover - parse_config already rejects unknown modes
-                raise ConfigurationError(f"unknown mode {cfg.mode!r}")
+        _RUNNERS[cfg.mode](cfg, out, manifest, override_stability)
     except AdrLabError as exc:
         manifest.finalize("failed", error=str(exc), **exc.manifest_fields())
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ import numpy as np
 
 from .analytic2d import SeriesSolution, sample_series
 from .chemistry import DbarEstimate
-from .errors import ConfigurationError, StabilityError, UnsupportedNetworkError
+from .errors import ConfigurationError, StabilityError
 from .grid import Field, TransportParams, sample_initial_2d
 from .snapshots import SnapshotSeries
+from .solver2d import run2d, stability2d
 
 __all__ = [
     "ErrorReport",
@@ -76,18 +77,17 @@ def convergence_order(
     configs,
     sol: SeriesSolution,
     t: float,
-    initial_profile=None,
+    initial_profile,
 ) -> tuple[float, list[ErrorReport]]:
     """Measured spatial order of the 2-D solver against the series oracle.
 
     configs is a list of (grid, dt) refinement levels with dt scaled
     proportionally to dx^2 (the caller's responsibility; this isolates the
-    second-order spatial term).  Each level runs from the sampled initial
-    profile (default: the zero-time series) to time t, then the max error is
-    measured.  Any unstable level aborts with its stability report.
+    second-order spatial term).  Each level runs from initial_profile(x, y),
+    the profile the series was built from, sampled on its grid, to time t;
+    then the max error is measured.  Any unstable level aborts with its
+    stability report.
     """
-    from .solver2d import run2d, stability2d
-
     if len(configs) < 3:
         raise ConfigurationError("convergence study needs >= 3 refinement levels")
     reports: list[ErrorReport] = []
@@ -100,10 +100,7 @@ def convergence_order(
                 f"refinement level {grid.shape} with dt={dt} is unstable "
                 f"({stab.violated})", stab,
             )
-        if initial_profile is not None:
-            init = sample_initial_2d(grid, initial_profile)
-        else:
-            init = sample_series(sol, grid, 0.0)
+        init = sample_initial_2d(grid, initial_profile)
         series = run2d(init, params, grid, dt, t_end=t, snapshot_times=[t])
         reports.append(max_error_vs_analytic(series.fields[-1], sol, series.times[-1]))
         spacings.append(grid.spacing[0])
@@ -116,17 +113,13 @@ def boundedness_check(
     norms,
     dbar: DbarEstimate,
     u0_norm: float,
-    holds_H: bool = True,
 ) -> tuple[bool, np.ndarray]:
     """Check ||u(t)|| <= exp(dbar*t) * (||u0|| + 1) at every sample.
 
-    Returns (ok, margins) where margins[i] = bound(t_i) - norm_i; the check
-    is only meaningful for monomolecular networks, so holds_H=False raises.
+    Returns (ok, margins) where margins[i] = bound(t_i) - norm_i.  The bound
+    is proved only for monomolecular networks, the only ones compute_dbar
+    gives a DbarEstimate for.
     """
-    if not holds_H:
-        raise UnsupportedNetworkError(
-            "the norm growth bound is proved only for monomolecular networks"
-        )
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     bound = np.exp(dbar.dbar * times) * (u0_norm + 1.0)

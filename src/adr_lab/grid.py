@@ -149,10 +149,6 @@ class TransportParams:
         if any(v < 0 for v in self.k):
             raise ConfigurationError(f"diffusion coefficients must be >= 0, got {self.k}")
 
-    @property
-    def ndim(self) -> int:
-        return len(self.u)
-
 
 def zero_dirichlet(field: Field) -> Field:
     """Set every boundary node of every species to zero, in place.

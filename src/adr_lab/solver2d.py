@@ -14,6 +14,7 @@ reads only the previous buffer, so results are independent of sweep order.
 
 from __future__ import annotations
 
+from .errors import ConfigurationError
 from .grid import Field, Grid, TransportParams, zero_dirichlet
 from .snapshots import SnapshotSeries, Stability, run_steps
 
@@ -30,7 +31,7 @@ def _peclet(u: float, spacing: float, k: float) -> float:
 def stability2d(params: TransportParams, grid: Grid, dt: float) -> Stability:
     """Compute diffusion/Peclet numbers; failure is data, not an error."""
     if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     ux, uy = params.u
     kx, ky = params.k
     dx, dy = grid.spacing

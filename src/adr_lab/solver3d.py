@@ -24,6 +24,7 @@ import logging
 import numpy as np
 
 from .chemistry import ReactionNetwork, reaction_rates_field
+from .diagnostics import TrajectoryLog
 from .errors import ConfigurationError
 from .grid import Field, Grid, TransportParams, zero_dirichlet
 from .snapshots import SnapshotSeries, Stability, run_steps
@@ -34,8 +35,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.9
 
-_AXES = {"x": 0, "y": 1, "z": 2}
-
 
 def stability3d(
     params: TransportParams,
@@ -44,7 +43,7 @@ def stability3d(
     alpha: float = DEFAULT_ALPHA,
 ) -> Stability:
     if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     if not (0 < alpha < 1):
         raise ConfigurationError(f"CFL threshold alpha must be in (0, 1), got {alpha}")
     spacing = grid.spacing
@@ -66,15 +65,6 @@ def stability3d(
         "cfl": cfl, "combined": combined, "alpha": alpha,
     }
     return Stability("upwind-3d", numbers, violated)
-
-
-def _check_velocities(params: TransportParams) -> None:
-    # Upwind differencing is derived for u >= 0; negative components would
-    # need the mirrored stencil and are rejected rather than silently flipped.
-    if any(u < 0 for u in params.u):
-        raise ConfigurationError(
-            f"upwind solver requires nonnegative velocities, got {params.u}"
-        )
 
 
 def _transport_increment(cs: np.ndarray, adv, dif, out: np.ndarray) -> None:
@@ -99,15 +89,13 @@ def step3d(
     dt: float,
     override_stability: bool = False,
     _report: Stability | None = None,
-    alpha: float = DEFAULT_ALPHA,
 ) -> Field:
     """One explicit step at time t; returns a new Field, boundary re-zeroed.
 
     network=None means pure transport.  Chemistry is evaluated on the
     previous-step state, simultaneously with transport.
     """
-    _check_velocities(params)
-    rep = _report if _report is not None else stability3d(params, grid, dt, alpha)
+    rep = _report if _report is not None else stability3d(params, grid, dt)
     rep.require(override_stability, "combined", "cfl", "alpha")
     spacing = grid.spacing
     adv = [u * dt / d for u, d in zip(params.u, spacing)]
@@ -180,12 +168,9 @@ def run3d(
     per-species state of those cells is appended every trajectory_stride
     steps.
     """
-    from .diagnostics import TrajectoryLog  # local import: avoids module cycle
-
-    _check_velocities(params)
-    if slice_axis not in _AXES:
+    if slice_axis not in ("x", "y", "z"):
         raise ConfigurationError(f"slice axis must be one of x, y, z; got {slice_axis}")
-    axis = _AXES[slice_axis]
+    axis = "xyz".index(slice_axis)
     if not (0 <= slice_index < grid.shape[axis]):
         raise ConfigurationError(
             f"slice index {slice_index} outside axis {slice_axis} "

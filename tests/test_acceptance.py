@@ -8,6 +8,8 @@ thread setting in a session fixture and is shared by criteria 7, 8 and 10.
 import hashlib
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -101,28 +103,34 @@ def _upwind_pulse_peak(n_steps: int, courant) -> float:
     return math.exp(best)
 
 
+def _execute_bundled(name: str, out: Path, threads: int) -> int:
+    return execute(parse_config(bundled_config_path(name)), out, threads=threads)
+
+
+def _run_per_thread_setting(tmp_path_factory, name: str, prefix: str) -> dict:
+    """Run a bundled config via the CLI layer with threads=1 and threads=4.
+
+    The two runs are independent, so they run at the same time in two
+    worker processes.
+    """
+    outs = {threads: tmp_path_factory.mktemp(f"{prefix}-t{threads}") for threads in (1, 4)}
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        codes = list(pool.map(_execute_bundled, [name] * 2, outs.values(), outs))
+    assert codes == [0, 0]
+    return outs
+
+
 @pytest.fixture(scope="session")
 def compare_runs(tmp_path_factory):
-    """The 2-D benchmark, run once per thread setting via the CLI layer."""
-    outs = {}
-    for threads in (1, 4):
-        out = tmp_path_factory.mktemp(f"compare-t{threads}")
-        cfg = parse_config(bundled_config_path("benchmark-2d.yaml"))
-        assert execute(cfg, out, threads=threads) == 0
-        outs[threads] = out
-    return outs
+    """The 2-D benchmark, run once per thread setting."""
+    return _run_per_thread_setting(tmp_path_factory, "benchmark-2d.yaml", "compare")
 
 
 @pytest.fixture(scope="session")
 def ozone_runs(tmp_path_factory):
     """The full 101^3 x 600-step 3-D scenario, once per thread setting."""
-    outs = {}
-    for threads in (1, 4):
-        out = tmp_path_factory.mktemp(f"ozone-t{threads}")
-        cfg = parse_config(bundled_config_path("ozone-3d.yaml"))
-        assert execute(cfg, out, threads=threads) == 0
-        outs[threads] = out
-    return outs
+    return _run_per_thread_setting(tmp_path_factory, "ozone-3d.yaml", "ozone")
 
 
 def _manifest(out_dir: Path) -> dict:

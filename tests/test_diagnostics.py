@@ -12,7 +12,6 @@ from adr_lab import (
     StabilityError,
     TrajectoryLog,
     TransportParams,
-    UnsupportedNetworkError,
     boundedness_check,
     build_series,
     compute_dbar,
@@ -79,7 +78,7 @@ def test_convergence_order_aborts_on_unstable_level():
     sol = build_series(SINE, 5.0, 0.5, M=8, N=8)
     levels = [(Grid((nx, nx), (1.0, 1.0)), 1.0) for nx in (24, 46, 91)]
     with pytest.raises(StabilityError):
-        convergence_order(levels, sol, 0.05)
+        convergence_order(levels, sol, 0.05, initial_profile=SINE)
 
 
 def _chain_estimate():
@@ -107,12 +106,6 @@ def test_boundedness_check_flags_violation():
     norms = np.array([1.0, 1e6])  # far above exp(dbar t)(u0+1)
     ok, margins = boundedness_check(times, norms, est, u0_norm=1.0)
     assert not ok and margins[1] < 0
-
-
-def test_boundedness_check_requires_monomolecular():
-    est = _chain_estimate()
-    with pytest.raises(UnsupportedNetworkError):
-        boundedness_check([0.0], [1.0], est, 1.0, holds_H=False)
 
 
 def _series_with(values_list, grid):

@@ -56,6 +56,13 @@ def test_stability_violations_named():
     assert not sharp.ok and sharp.violated == "Px < 1"
 
 
+def test_stability_rejects_nonpositive_dt():
+    params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
+    for dt in (0.0, -1e-4):
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            stability2d(params, Grid((11, 11), (1.0, 1.0)), dt)
+
+
 def test_stability_advection_free_peclet_is_zero():
     grid = Grid((11, 11), (1.0, 1.0))
     rep = stability2d(TransportParams(u=(0.0, 0.0), k=(0.0, 0.0)), grid, 1.0)

@@ -85,12 +85,11 @@ def test_stability_cfl_cap():
     assert stability3d(params, grid, 0.95, alpha=0.99).ok
 
 
-def test_negative_velocity_rejected():
-    grid = _box(5, 1.0)
-    params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
-    object.__setattr__(params, "u", (-1.0, 0.0, 0.0))  # bypass the constructor
-    with pytest.raises(ConfigurationError):
-        step3d(Field.zeros(grid), params, grid, None, 0.0, 0.1)
+def test_stability_rejects_nonpositive_dt():
+    params = TransportParams(u=(1.0, 1.0, 1.0), k=(2e-5, 2e-5, 2e-5))
+    for dt in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            stability3d(params, _box(5, 1.0), dt)
 
 
 def test_step_matches_naive_loop_bitwise_transport():
