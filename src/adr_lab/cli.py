@@ -282,8 +282,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     if grid.ndim == 2:
         sblock = _get(cfg, "series", "", dict, default={})
         fields.update(
-            series_m=_get(sblock, "M", "series.", int, default=40),
-            series_n=_get(sblock, "N", "series.", int, default=40),
+            series_m=_get(sblock, "M", "series.", int, default=40, positive=True),
+            series_n=_get(sblock, "N", "series.", int, default=40, positive=True),
             quad_points=_get(sblock, "quad_points", "series.", int, default=None),
         )
     else:
@@ -324,10 +324,11 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     if mode == "converge":
         conv = _get(cfg, "converge", "", dict, default={})
         levels = _get(conv, "nx_levels", "converge.", list[int])
-        if len(levels) < 3 or any(a >= b for a, b in zip(levels, levels[1:])):
+        if (len(levels) < 3 or levels[0] < 3
+                or any(a >= b for a, b in zip(levels, levels[1:]))):
             raise ConfigurationError(
-                f"converge.nx_levels: need at least 3 strictly increasing levels, "
-                f"got {levels}"
+                f"converge.nx_levels: need at least 3 strictly increasing levels "
+                f"of at least 3 nodes, got {levels}"
             )
         fields["converge_nx"] = levels
 
@@ -434,17 +435,15 @@ def _initial_field(cfg: RunConfig) -> Field:
 def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
     """Run the scheme of the grid's dimension from the configured initial field.
 
-    Records the stability report in the manifest and returns the
-    SnapshotSeries with the TrajectoryLog of a 3-D run (None in 2-D).
+    Records the stability report in the manifest and returns the SnapshotSeries.
     """
     initial = _initial_field(cfg)
     if cfg.grid.ndim == 2:
-        series = run2d(initial, cfg.transport, cfg.grid, cfg.dt, cfg.t_end,
+        series = run2d(initial, cfg.transport, cfg.dt, cfg.t_end,
                        cfg.snapshot_times, override_stability=override)
-        log = None
     else:
-        series, log = run3d(
-            initial, cfg.transport, cfg.grid, cfg.network, cfg.dt, cfg.t_end,
+        series = run3d(
+            initial, cfg.transport, cfg.network, cfg.dt, cfg.t_end,
             cfg.snapshot_times, slice_axis=cfg.slice_axis,
             slice_index=cfg.slice_index, trajectory_cells=cfg.trajectory_cells,
             trajectory_stride=cfg.trajectory_stride, override_stability=override,
@@ -452,7 +451,7 @@ def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
         )
     manifest.data["stability"] = series.stability.as_dict()
     manifest.flush()
-    return series, log
+    return series
 
 
 def _series(cfg: RunConfig):
@@ -472,7 +471,7 @@ def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
 
 
 def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
-    series, _ = _simulate(cfg, manifest, override)
+    series = _simulate(cfg, manifest, override)
     for step, field in zip(series.steps, series.fields):
         write_slice(out / f"snap_t{step}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
@@ -488,13 +487,13 @@ def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
 
 def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
     t0 = time.perf_counter()
-    series, log = _simulate(cfg, manifest, override)
+    series = _simulate(cfg, manifest, override)
     wall = time.perf_counter() - t0
     for step, plane in zip(series.steps, series.slices):
         write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
-    if log.cells:
+    if series.trajectories.cells:
         write_csv(out / "trajectories.csv",
-                  ["t", "i", "j", "k", *cfg.species], log.rows())
+                  ["t", "i", "j", "k", *cfg.species], series.trajectories.rows())
     updates = cfg.grid.num_cells * len(cfg.species) * max(step_count(cfg.t_end, cfg.dt), 1)
     ok, violation = positivity_check(series)
     manifest.finalize(
@@ -519,7 +518,7 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
 
 def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
     sol = _series(cfg)
-    series, _ = _simulate(cfg, manifest, override)
+    series = _simulate(cfg, manifest, override)
     reports = [
         max_error_vs_analytic(field, sol, t)
         for t, field in zip(series.times, series.fields)

@@ -101,7 +101,7 @@ def convergence_order(
                 f"({stab.violated})", stab,
             )
         init = sample_initial_2d(grid, initial_profile)
-        series = run2d(init, params, grid, dt, t_end=t, snapshot_times=[t])
+        series = run2d(init, params, dt, t_end=t, snapshot_times=[t])
         reports.append(max_error_vs_analytic(series.fields[-1], sol, series.times[-1]))
         spacings.append(grid.spacing[0])
     order = estimate_order(spacings, [r.max_abs_error for r in reports])

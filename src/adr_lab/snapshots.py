@@ -8,11 +8,15 @@ time are recorded so output files never need interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, StabilityError
 from .grid import Field
+
+if TYPE_CHECKING:
+    from .diagnostics import TrajectoryLog
 
 __all__ = ["SnapshotSeries", "Stability", "run_steps", "snapshot_steps", "step_count"]
 
@@ -22,12 +26,14 @@ class Stability:
     """A scheme's dimensionless stability numbers and its verdict.
 
     violated names the first constraint that fails, or is None when the
-    step is stable.
+    step is stable.  coefficients holds the stencil weights the scheme's
+    step applies; as_dict() leaves them out.
     """
 
     scheme: str
     numbers: dict[str, float]
     violated: str | None
+    coefficients: tuple
 
     @property
     def ok(self) -> bool:
@@ -57,44 +63,50 @@ def snapshot_steps(snapshot_times, dt: float, t_end: float) -> list[int]:
     """Map requested times to step indices (first step with t >= requested)."""
     times = list(snapshot_times)
     if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
-        raise ConfigurationError("snapshot times must be sorted ascending")
+        raise ConfigurationError(f"time.snapshots: must be sorted ascending, got {times}")
     if times and (times[0] < 0 or times[-1] > t_end + 1e-12 * max(t_end, dt)):
         raise ConfigurationError(
-            f"snapshot times must lie within [0, t_end={t_end}], got {times}"
+            f"time.snapshots: must lie within [0, time.t_end={t_end}], got {times}"
         )
     return [step_count(t, dt) for t in times]
 
 
 @dataclass
 class SnapshotSeries:
-    """Fields captured at requested times during a run."""
+    """Fields captured at requested times during a run.
+
+    3-D runs also set plane, the index of the 2-D slice they report, and
+    trajectories, the log of their tracked cells.
+    """
 
     requested_times: list[float]
     steps: list[int] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
     fields: list[Field] = field(default_factory=list)
-    slices: list[np.ndarray] = field(default_factory=list)  # 3-D runs only
     stability: Stability | None = None
     chemistry_rate_scale: float = 0.0  # 3-D runs with chemistry only
+    plane: tuple | None = None
+    trajectories: TrajectoryLog | None = None
 
-    def append(self, step: int, time: float, snapshot: Field,
-               plane: np.ndarray | None = None) -> None:
+    @property
+    def slices(self) -> list[np.ndarray]:
+        """Views of each captured field's values at plane; none without one."""
+        return [] if self.plane is None else [f.values[self.plane] for f in self.fields]
+
+    def append(self, step: int, time: float, snapshot: Field) -> None:
         self.steps.append(step)
         self.times.append(time)
         self.fields.append(snapshot)
-        if plane is not None:
-            self.slices.append(plane)
 
 
 def run_steps(initial: Field, advance, dt: float, t_end: float,
-              series: SnapshotSeries, take_slice=None, sample=None) -> SnapshotSeries:
+              series: SnapshotSeries, sample=None) -> SnapshotSeries:
     """Step from t=0 to t_end, capturing the series' requested snapshots.
 
-    advance(field, t) returns the field one step after time t.  take_slice,
-    when given, maps field values to the 2-D plane stored beside each
-    snapshot.  sample(step, t, values), when given, sees the state at every
-    step from 0 to the last.  A non-finite value after a step raises
-    DivergenceError naming the step, species and cell.
+    advance(field, t) returns the field one step after time t.
+    sample(step, t, values), when given, sees the state at every step from
+    0 to the last.  A non-finite value after a step raises DivergenceError
+    naming the step, species and cell.
     """
     pending = snapshot_steps(series.requested_times, dt, t_end)
     n_steps = step_count(t_end, dt)
@@ -103,8 +115,7 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     while True:
         t = step * dt
         while pending and pending[0] <= step:
-            plane = take_slice(field.values) if take_slice is not None else None
-            series.append(step, t, field.copy(), plane=plane)
+            series.append(step, t, field.copy())
             pending.pop(0)
         if sample is not None:
             sample(step, t, field.values)

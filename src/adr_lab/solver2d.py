@@ -29,7 +29,10 @@ def _peclet(u: float, spacing: float, k: float) -> float:
 
 
 def stability2d(params: TransportParams, grid: Grid, dt: float) -> Stability:
-    """Compute diffusion/Peclet numbers; failure is data, not an error."""
+    """Diffusion/Peclet numbers and weights (c0, xp, xm, yp, ym); failure is data.
+
+    The weights multiply c[i,j], c[i+1,j] (downwind), c[i-1,j], c[i,j+1], c[i,j-1].
+    """
     if not (dt > 0):
         raise ConfigurationError(f"dt must be positive, got {dt}")
     ux, uy = params.u
@@ -39,34 +42,29 @@ def stability2d(params: TransportParams, grid: Grid, dt: float) -> Stability:
     ry = ky * dt / dy**2
     px = _peclet(ux, dx, kx)
     py = _peclet(uy, dy, ky)
+    c0 = 1.0 - 2.0 * rx - 2.0 * ry
     violated = None
-    if not (1.0 - 2.0 * rx - 2.0 * ry > 0.0):
+    if not (c0 > 0.0):
         violated = "1-2Rx-2Ry > 0"
     elif not (px < 1.0):
         violated = "Px < 1"
     elif not (py < 1.0):
         violated = "Py < 1"
-    return Stability("centered-2d", {"Rx": rx, "Ry": ry, "Px": px, "Py": py}, violated)
+    return Stability("centered-2d", {"Rx": rx, "Ry": ry, "Px": px, "Py": py}, violated,
+                     (c0, rx - px * rx, rx + px * rx, ry - py * ry, ry + py * ry))
 
 
 def step2d(
     field: Field,
     params: TransportParams,
-    grid: Grid,
     dt: float,
     override_stability: bool = False,
     _report: Stability | None = None,
 ) -> Field:
-    """One double-buffered step; returns a new Field, boundary re-zeroed."""
-    rep = _report if _report is not None else stability2d(params, grid, dt)
+    """One double-buffered step on field.grid; returns a new Field, boundary re-zeroed."""
+    rep = _report if _report is not None else stability2d(params, field.grid, dt)
     rep.require(override_stability, "Rx", "Ry", "Px", "Py")
-    rx, ry = rep.numbers["Rx"], rep.numbers["Ry"]
-    px, py = rep.numbers["Px"], rep.numbers["Py"]
-    c0 = 1.0 - 2.0 * rx - 2.0 * ry
-    xp = rx - px * rx   # i+1 (downwind)
-    xm = rx + px * rx   # i-1 (upwind)
-    yp = ry - py * ry
-    ym = ry + py * ry
+    c0, xp, xm, yp, ym = rep.coefficients
     old = field.values
     new = old.copy()
     new[:, 1:-1, 1:-1] = (
@@ -74,24 +72,23 @@ def step2d(
         + xp * old[:, 2:, 1:-1] + xm * old[:, :-2, 1:-1]
         + yp * old[:, 1:-1, 2:] + ym * old[:, 1:-1, :-2]
     )
-    return zero_dirichlet(Field(grid, new))
+    return zero_dirichlet(Field(field.grid, new))
 
 
 def run2d(
     initial: Field,
     params: TransportParams,
-    grid: Grid,
     dt: float,
     t_end: float,
     snapshot_times,
     override_stability: bool = False,
 ) -> SnapshotSeries:
-    """Step from t=0 to t_end, capturing snapshots at the requested times."""
-    report = stability2d(params, grid, dt)
+    """Step initial.grid from t=0 to t_end, capturing snapshots at the requested times."""
+    report = stability2d(params, initial.grid, dt)
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
 
     def advance(field: Field, t: float) -> Field:
-        return step2d(field, params, grid, dt,
-                      override_stability=override_stability, _report=report)
+        return step2d(field, params, dt, override_stability=override_stability,
+                      _report=report)
 
     return run_steps(initial, advance, dt, t_end, series)

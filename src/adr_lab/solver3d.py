@@ -64,7 +64,8 @@ def stability3d(
         "Rx": r[0], "Ry": r[1], "Rz": r[2], "Px": p[0], "Py": p[1], "Pz": p[2],
         "cfl": cfl, "combined": combined, "alpha": alpha,
     }
-    return Stability("upwind-3d", numbers, violated)
+    # the step's weights: u dt/d on the upwind and k dt/d^2 on the diffusion terms
+    return Stability("upwind-3d", numbers, violated, (courant, r))
 
 
 def _transport_increment(cs: np.ndarray, adv, dif, out: np.ndarray) -> None:
@@ -83,33 +84,30 @@ def _transport_increment(cs: np.ndarray, adv, dif, out: np.ndarray) -> None:
 def step3d(
     field: Field,
     params: TransportParams,
-    grid: Grid,
     network: ReactionNetwork | None,
     t: float,
     dt: float,
     override_stability: bool = False,
     _report: Stability | None = None,
 ) -> Field:
-    """One explicit step at time t; returns a new Field, boundary re-zeroed.
+    """One explicit step at time t on field.grid; returns a new Field, boundary re-zeroed.
 
     network=None means pure transport.  Chemistry is evaluated on the
     previous-step state, simultaneously with transport.
     """
-    rep = _report if _report is not None else stability3d(params, grid, dt)
+    rep = _report if _report is not None else stability3d(params, field.grid, dt)
     rep.require(override_stability, "combined", "cfl", "alpha")
-    spacing = grid.spacing
-    adv = [u * dt / d for u, d in zip(params.u, spacing)]
-    dif = [k * dt / d**2 for k, d in zip(params.k, spacing)]
+    adv, dif = rep.coefficients
     old = field.values
     new = old.copy()
-    incr = np.empty(grid.shape)
+    incr = np.empty(field.grid.shape)
     for s in range(field.species_count):
         _transport_increment(old[s], adv, dif, incr)
         new[s, 1:-1, 1:-1, 1:-1] += incr[1:-1, 1:-1, 1:-1]
     if network is not None:
         rates = reaction_rates_field(network, t, old)
         new[:, 1:-1, 1:-1, 1:-1] += dt * rates[:, 1:-1, 1:-1, 1:-1]
-    return zero_dirichlet(Field(grid, new))
+    return zero_dirichlet(Field(field.grid, new))
 
 
 def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) -> float:
@@ -127,11 +125,7 @@ def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) 
             l_nu = network.loss[nu, kappa]
             if l_nu == 0:
                 continue
-            deriv = network.rates[kappa].bound * l_nu
-            if cmax[nu] > 0:
-                deriv *= cmax[nu] ** (l_nu - 1)
-            elif l_nu > 1:
-                deriv = 0.0
+            deriv = network.rates[kappa].bound * l_nu * cmax[nu] ** (l_nu - 1)
             for mu in range(network.species_count):
                 if mu != nu and network.loss[mu, kappa]:
                     deriv *= cmax[mu] ** network.loss[mu, kappa]
@@ -149,7 +143,6 @@ def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) 
 def run3d(
     initial: Field,
     params: TransportParams,
-    grid: Grid,
     network: ReactionNetwork | None,
     dt: float,
     t_end: float,
@@ -160,27 +153,25 @@ def run3d(
     trajectory_stride: int = 10,
     override_stability: bool = False,
     alpha: float = DEFAULT_ALPHA,
-):
-    """Run the 3-D scheme, returning (SnapshotSeries, TrajectoryLog).
+) -> SnapshotSeries:
+    """Run the 3-D scheme on initial.grid and return its SnapshotSeries.
 
-    Snapshots keep the full field plus the requested 2-D slice.  When
-    trajectory_cells is given (a list of interior (i, j, k) tuples), the
-    per-species state of those cells is appended every trajectory_stride
-    steps.
+    Snapshots keep the full field; series.slices views the requested 2-D
+    slice of each.  When trajectory_cells is given (a list of interior
+    (i, j, k) tuples), the per-species state of those cells is appended to
+    series.trajectories every trajectory_stride steps.
     """
+    grid = initial.grid
     if slice_axis not in ("x", "y", "z"):
-        raise ConfigurationError(f"slice axis must be one of x, y, z; got {slice_axis}")
+        raise ConfigurationError(f"slice.axis: expected x, y or z, got {slice_axis!r}")
     axis = "xyz".index(slice_axis)
     if not (0 <= slice_index < grid.shape[axis]):
         raise ConfigurationError(
-            f"slice index {slice_index} outside axis {slice_axis} "
+            f"slice.index: {slice_index} outside axis {slice_axis} "
             f"of size {grid.shape[axis]}"
         )
     report = stability3d(params, grid, dt, alpha)
     scale = _reaction_rate_warning(network, initial, dt) if network is not None else 0.0
-    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report,
-                            chemistry_rate_scale=scale)
-
     log = TrajectoryLog(
         cells=[grid.interior_cell(c, f"trajectories.cells[{n}]")
                for n, c in enumerate(trajectory_cells or [])],
@@ -188,20 +179,18 @@ def run3d(
         species=list(network.species) if network is not None
         else [f"c{j+1}" for j in range(initial.species_count)],
     )
+    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report,
+                            chemistry_rate_scale=scale, trajectories=log,
+                            plane=(slice(None),) * (axis + 1) + (slice_index,))
     cell_idx = tuple(np.array([c[a] for c in log.cells]) for a in range(3))
-    plane_idx = (slice(None),) * (axis + 1) + (slice_index,)
-
-    def take_slice(values: np.ndarray) -> np.ndarray:
-        return values[plane_idx].copy()
 
     def sample(step: int, t: float, values: np.ndarray) -> None:
         if step % log.stride == 0:
             log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
 
     def advance(field: Field, t: float) -> Field:
-        return step3d(field, params, grid, network, t, dt,
+        return step3d(field, params, network, t, dt,
                       override_stability=override_stability, _report=report)
 
-    run_steps(initial, advance, dt, t_end, series, take_slice=take_slice,
-              sample=sample if log.cells else None)
-    return series, log
+    return run_steps(initial, advance, dt, t_end, series,
+                     sample=sample if log.cells else None)

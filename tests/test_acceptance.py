@@ -207,7 +207,7 @@ def test_criterion_05_positivity_and_maximum_principle():
         zero_dirichlet(field)
         m0 = field.values.max()
         for _ in range(5):
-            field = step2d(field, params, grid, dt)
+            field = step2d(field, params, dt)
             assert field.values.min() >= 0.0, f"negative value, config {accepted}"
             assert field.values.max() <= m0 * (1 + 1e-14), \
                 f"max principle violated, config {accepted}"
@@ -225,7 +225,7 @@ def test_criterion_06_stoichiometric_conservation():
     s23 = field.values[1] + field.values[2]
     dt = 1.0
     for step in range(10_000):
-        field = step3d(field, params, grid, net, step * dt, dt)
+        field = step3d(field, params, net, step * dt, dt)
     interior = (slice(1, -1),) * 3
     np.testing.assert_allclose(
         (field.values[0] + field.values[1])[interior], s12[interior], rtol=1e-12
@@ -315,7 +315,7 @@ def test_criterion_09_norm_growth_bound():
     init = Field(grid, rng.uniform(0.0, 2.0, size=(2, 11, 11, 11)))
     zero_dirichlet(init)
     snapshot_times = [0.0, 10.0, 25.0, 50.0, 75.0, 100.0]
-    series, _ = run3d(init, params, grid, net, 1.0, 100.0, snapshot_times)
+    series = run3d(init, params, net, 1.0, 100.0, snapshot_times)
     norms = [l2_norm(f) for f in series.fields]
     ok, margins = boundedness_check(series.times, norms, est, l2_norm(init))
     assert ok, f"bound violated, margins {margins}"

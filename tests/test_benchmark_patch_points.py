@@ -8,7 +8,10 @@ benchmark patches fails here and not only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from adr_lab import Field, Grid, TransportParams, run2d, run3d
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +33,17 @@ def test_benchmark_patch_point_resolves(layer, module_name, attr):
     assert getattr(owner, leaf) is fn and callable(fn)
     # resolving must not have installed a wrapper
     assert not hasattr(fn, "__wrapped__")
+
+
+def test_retained_bytes_reads_fields_and_slices_of_run_results():
+    # the traced runs record _retained_bytes of what run2d and run3d return
+    flat = run2d(Field.zeros(Grid((6, 7), (1.0, 1.0))),
+                 TransportParams(u=(0.0, 0.0), k=(0.1, 0.1)), 0.01, 0.02, [0.0, 0.02])
+    assert flat.slices == []
+    assert tracing._retained_bytes(flat) == 2 * 6 * 7 * 8
+    box = run3d(Field.zeros(Grid((5, 6, 7), (4.0, 5.0, 6.0)), 2),
+                TransportParams(u=(0.0,) * 3, k=(0.1,) * 3), None, 0.5, 1.0, [0.0, 1.0],
+                slice_axis="y", slice_index=2)
+    assert all(np.shares_memory(p, f.values) for p, f in zip(box.slices, box.fields))
+    # two snapshots of two species: full fields plus one 5 x 7 y-plane each
+    assert tracing._retained_bytes(box) == 2 * 2 * (5 * 6 * 7 + 5 * 7) * 8

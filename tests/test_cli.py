@@ -223,11 +223,18 @@ def test_divergence_exit_code(tmp_path):
     (("trajectories", "stirde"), 5, "trajectories.stirde"),
     (("chemistry", "reactions", 0, "rate", "value"), 1.0,
      "chemistry.reactions[0].rate.value"),
+    (("slice", "axis"), "w", "slice.axis"),
+    (("slice", "index"), 11, "slice.index"),
+    (("time", "snapshots"), [4.0, 0.0], "time.snapshots"),
+    (("time", "snapshots"), [9.0], "time.snapshots"),
+    (("time", "t_end"), -3, "time.t_end"),
 ], ids=["source-outside", "source-2-indices", "source-on-boundary",
         "initial-negative", "tracked-2-indices", "dt-zero", "stride-zero",
         "stride-negative", "cell-spacing-zero", "sine-product-3d", "u-not-number",
         "loss-fraction", "cell-volume-zero", "units-inputs-typo", "time-snapshot-typo",
-        "stride-typo", "photolysis-value-unread"])
+        "stride-typo", "photolysis-value-unread", "slice-axis-unknown",
+        "slice-index-outside", "snapshots-unsorted", "snapshot-after-t-end",
+        "t-end-negative"])
 def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     raw = yaml.safe_load(bundled_config_path("ozone-3d.yaml").read_text())
     raw["grid"].update(nx=11, ny=11, nz=11)
@@ -260,11 +267,15 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     ("converge", ("transport", "u"), [5.0, 4.0], "transport.u"),
     ("simulate2d", ("chemistry",), SIM3D_SMALL["chemistry"], "chemistry.species"),
     ("compare", ("slice",), {"axis": "z"}, "slice.axis"),
+    ("compare", ("series", "M"), 0, "series.M"),
+    ("analytic2d", ("series", "N"), 0, "series.N"),
+    ("converge", ("converge", "nx_levels"), [2, 4, 8], "converge.nx_levels"),
 ], ids=["nx-levels-not-int", "initial-kind-unknown", "nx-levels-repeated",
         "nx-levels-decreasing", "compare-zero-initial", "converge-zero-initial",
         "analytic2d-zero-initial", "compare-non-unit-grid", "analytic2d-non-unit-grid",
         "converge-non-unit-grid", "compare-unequal-u", "analytic2d-unequal-k",
-        "converge-unequal-u", "chemistry-in-2d", "slice-in-2d"])
+        "converge-unequal-u", "chemistry-in-2d", "slice-in-2d", "series-m-zero",
+        "series-n-zero", "nx-levels-below-3"])
 def test_bad_2d_config_exits_1_naming_key(tmp_path, capsys, mode, path, value, key):
     raw = dict(COMPARE_SMALL, mode=mode)
     if mode == "converge":

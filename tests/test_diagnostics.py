@@ -171,6 +171,6 @@ def test_norm_decays_for_stable_diffusive_run():
     grid = Grid((20, 20), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, SINE)
-    series = run2d(init, params, grid, 1e-4, 0.05, [0.0, 0.02, 0.05])
+    series = run2d(init, params, 1e-4, 0.05, [0.0, 0.02, 0.05])
     norms = [l2_norm(f) for f in series.fields]
     assert norms == sorted(norms, reverse=True)

@@ -16,6 +16,7 @@ from adr_lab import (
     stability2d,
     step2d,
 )
+from adr_lab.cli import bundled_config_path, parse_config
 from adr_lab.snapshots import snapshot_steps
 
 
@@ -37,6 +38,79 @@ def naive_step(values, u, k, dx, dy, dt):
                     + (ry + py * ry) * values[s, i, j - 1]
                 )
     return out
+
+
+def _sine_matrix(n):
+    """The orthonormal, symmetric sine transform on n interior nodes."""
+    i = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+
+
+def exact_centered(values, u, k, dx, dy, dt, steps):
+    """The centred scheme after `steps` steps from (nx, ny) values, in closed form.
+
+    Along each axis the update is tridiagonal Toeplitz with weights xp on
+    c[i+1] and xm on c[i-1].  Scaling node i by rho**i, rho = sqrt(xm/xp),
+    makes it symmetric with off-diagonal sqrt(xm*xp), whose eigenvectors are
+    sines (LeVeque, Finite Difference Methods for Ordinary and Partial
+    Differential Equations, SIAM 2007).  So c^n = W S (lambda^n * b) S^T W
+    with b the sine transform of c^0 / W.
+    """
+    rx, ry = k[0] * dt / dx**2, k[1] * dt / dy**2
+    px, py = u[0] * dx / (2 * k[0]), u[1] * dy / (2 * k[1])
+    xp, xm, yp, ym = rx - px * rx, rx + px * rx, ry - py * ry, ry + py * ry
+    # i and j number the interior nodes, which are also the sine modes
+    i, j = np.arange(1, values.shape[0] - 1), np.arange(1, values.shape[1] - 1)
+    sx, sy = _sine_matrix(len(i)), _sine_matrix(len(j))
+    w = np.outer(np.sqrt(xm / xp) ** i, np.sqrt(ym / yp) ** j)
+    lam = (1 - 2 * rx - 2 * ry
+           + 2 * np.sqrt(xm * xp) * np.cos(i * np.pi / (len(i) + 1))[:, None]
+           + 2 * np.sqrt(ym * yp) * np.cos(j * np.pi / (len(j) + 1))[None, :])
+    b = sx @ (values[1:-1, 1:-1] / w) @ sy
+    out = np.zeros_like(values)
+    out[1:-1, 1:-1] = w * (sx @ (lam**steps * b) @ sy)
+    return out
+
+
+def _assert_run_matches_exact(init, params, dt, t_end, times):
+    series = run2d(init, params, dt, t_end, times)
+    for step, field in zip(series.steps, series.fields):
+        exact = exact_centered(init.values[0], params.u, params.k,
+                               *init.grid.spacing, dt, step)
+        err = np.abs(field.values[0] - exact).max() / np.abs(exact).max()
+        assert err < 1e-12, (step, err)
+
+
+def test_run_matches_exact_discrete_solution_benchmark_2d():
+    cfg = parse_config(bundled_config_path("benchmark-2d.yaml"))
+    init = sample_initial_2d(cfg.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    _assert_run_matches_exact(init, cfg.transport, cfg.dt, cfg.t_end, cfg.snapshot_times)
+
+
+def test_run_matches_exact_discrete_solution_random_stable():
+    # rho**(n-1) <= 1e3 keeps the closed form well conditioned: its weights
+    # span rho**n, and its own rounding grows with them.
+    rng = np.random.default_rng(2007)
+    cases = 0
+    while cases < 24:
+        nx, ny = (int(n) for n in rng.integers(5, 31, size=2))
+        grid = Grid((nx, ny), (1.0, 1.0))
+        dx, dy = grid.spacing
+        k = rng.uniform(0.05, 1.0, size=2)
+        u = rng.uniform(0.0, 0.95, size=2) * 2 * k / (dx, dy)
+        p = u * (dx, dy) / (2 * k)
+        rho = np.sqrt((1 + p) / (1 - p))
+        if rho[0] ** (nx - 1) > 1e3 or rho[1] ** (ny - 1) > 1e3:
+            continue
+        dt = float(rng.uniform(0.1, 0.95)) / (2 * k[0] / dx**2 + 2 * k[1] / dy**2)
+        params = TransportParams(u=tuple(u), k=tuple(k))
+        assert stability2d(params, grid, dt).ok
+        values = rng.uniform(0.0, 1.0, size=(1, nx, ny))
+        values[:, [0, -1], :] = values[:, :, [0, -1]] = 0.0
+        steps = int(rng.integers(1, 300))
+        _assert_run_matches_exact(Field(grid, values), params, dt, steps * dt,
+                                  [steps * dt])
+        cases += 1
 
 
 def test_stability_numbers_reference_case():
@@ -79,7 +153,7 @@ def test_step_matches_naive_loop_bitwise():
     values = rng.uniform(0.0, 1.0, size=(2, 9, 8))
     values[:, 0, :] = values[:, -1, :] = values[:, :, 0] = values[:, :, -1] = 0.0
     field = Field(grid, values.copy())
-    stepped = step2d(field, params, grid, dt)
+    stepped = step2d(field, params, dt)
     expected = naive_step(values, params.u, params.k, *grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
 
@@ -93,7 +167,7 @@ def test_step_is_double_buffered():
     values = np.zeros((1, 6, 6))
     values[0, 2, 2] = 1.0
     field = Field(grid, values.copy())
-    step2d(field, params, grid, 1e-3)
+    step2d(field, params, 1e-3)
     np.testing.assert_array_equal(field.values, values)
 
 
@@ -102,10 +176,10 @@ def test_unstable_step_raises_with_report():
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     field = Field.zeros(grid)
     with pytest.raises(StabilityError) as exc:
-        step2d(field, params, grid, 1e-2)
+        step2d(field, params, 1e-2)
     assert exc.value.report.violated == "1-2Rx-2Ry > 0"
     # override runs the step anyway
-    step2d(field, params, grid, 1e-2, override_stability=True)
+    step2d(field, params, 1e-2, override_stability=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,7 +202,7 @@ def test_maximum_principle_random_stable_configs(seed):
     zero_dirichlet(field)
     m0 = field.values.max()
     for _ in range(5):
-        field = step2d(field, params, grid, dt)
+        field = step2d(field, params, dt)
         assert field.values.min() >= 0.0
         assert field.values.max() <= m0 * (1 + 1e-14)
 
@@ -149,7 +223,7 @@ def test_run_records_requested_snapshots():
     grid = Grid((24, 24), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    series = run2d(init, params, grid, 2e-4, 0.05, [0.0, 0.02, 0.05])
+    series = run2d(init, params, 2e-4, 0.05, [0.0, 0.02, 0.05])
     assert series.steps == [0, 100, 250]
     assert series.times == [0.0, 100 * 2e-4, 250 * 2e-4]
     assert len(series.fields) == 3
@@ -164,7 +238,7 @@ def test_run_detects_divergence():
     init = Field.zeros(grid)
     init.values[0, 5, 5] = 1e300
     with pytest.raises(DivergenceError) as exc:
-        run2d(init, params, grid, 1.0, 50.0, [50.0], override_stability=True)
+        run2d(init, params, 1.0, 50.0, [50.0], override_stability=True)
     assert exc.value.step >= 1
     where = re.search(r"after step (\d+) .* at species (\d+), cell \((\d+), (\d+)\)",
                       str(exc.value))
@@ -178,13 +252,13 @@ def test_run_unstable_without_override_raises():
     grid = Grid((12, 12), (1.0, 1.0))
     params = TransportParams(u=(0.0, 0.0), k=(0.5, 0.5))
     with pytest.raises(StabilityError):
-        run2d(Field.zeros(grid), params, grid, 1.0, 10.0, [10.0])
+        run2d(Field.zeros(grid), params, 1.0, 10.0, [10.0])
 
 
 def test_repeated_runs_bitwise_identical():
     grid = Grid((20, 20), (1.0, 1.0))
     params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
     init = sample_initial_2d(grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    a = run2d(init, params, grid, 1e-4, 0.02, [0.02])
-    b = run2d(init, params, grid, 1e-4, 0.02, [0.02])
+    a = run2d(init, params, 1e-4, 0.02, [0.02])
+    b = run2d(init, params, 1e-4, 0.02, [0.02])
     np.testing.assert_array_equal(a.fields[-1].values, b.fields[-1].values)

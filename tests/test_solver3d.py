@@ -99,7 +99,7 @@ def test_step_matches_naive_loop_bitwise_transport():
     rng = np.random.default_rng(11)
     values = rng.uniform(0.0, 1.0, size=(2, 6, 5, 7))
     field = Field(grid, values.copy())
-    stepped = step3d(field, params, grid, None, 0.0, dt)
+    stepped = step3d(field, params, None, 0.0, dt)
     expected = naive_step(values, params.u, params.k,
                           grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
@@ -113,7 +113,7 @@ def test_step_matches_naive_loop_with_chemistry():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 2.0, size=(3, 5, 5, 5))
     field = Field(grid, values.copy())
-    stepped = step3d(field, params, grid, net, NOON, dt)
+    stepped = step3d(field, params, net, NOON, dt)
     expected = naive_step(values, params.u, params.k,
                           grid.spacing, dt, network=net, t=NOON)
     np.testing.assert_allclose(stepped.values, expected, rtol=1e-13, atol=1e-300)
@@ -129,7 +129,7 @@ def test_chemistry_uses_previous_step_state():
     values[:, 2, 2, 2] = [1.0, 2.0, 3.0]
     field = Field(grid, values.copy())
     dt = 0.1
-    stepped = step3d(field, params, grid, net, NOON, dt)
+    stepped = step3d(field, params, net, NOON, dt)
     expected = values[:, 2, 2, 2] + dt * reaction_rates(
         net, NOON, values[:, 2, 2, 2], cell=(2, 2, 2)
     )
@@ -141,7 +141,7 @@ def test_source_feeds_its_cell_only():
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     net = ozone_network(k2=0.0, sigma2=3.0, source_cell=(1, 2, 3))
     field = Field.zeros(grid, 3)
-    stepped = step3d(field, params, grid, net, 0.0, 2.0)
+    stepped = step3d(field, params, net, 0.0, 2.0)
     assert stepped.values[0, 1, 2, 3] == 6.0  # NO only
     assert stepped.values.sum() == 6.0
 
@@ -159,7 +159,7 @@ def test_conservation_without_source_or_transport():
     s12 = field.values[0] + field.values[1]
     s23 = field.values[1] + field.values[2]
     for step in range(200):
-        field = step3d(field, params, grid, net, NOON + step * 0.1, 0.1)
+        field = step3d(field, params, net, NOON + step * 0.1, 0.1)
     np.testing.assert_allclose(field.values[0] + field.values[1], s12, rtol=1e-12)
     np.testing.assert_allclose(field.values[1] + field.values[2], s23, rtol=1e-12)
 
@@ -170,7 +170,7 @@ def test_boundary_stays_zero():
     rng = np.random.default_rng(9)
     field = Field(grid, rng.uniform(0, 1, size=(1, 6, 6, 6)))
     for _ in range(3):
-        field = step3d(field, params, grid, None, 0.0, 0.5)
+        field = step3d(field, params, None, 0.0, 0.5)
         assert field.values[:, 0].max() == 0.0
         assert field.values[:, :, :, -1].max() == 0.0
 
@@ -181,11 +181,12 @@ def test_run_returns_slices_and_trajectories():
     net = ozone_network(k2=1e-4, sigma2=1.0, source_cell=(1, 1, 1))
     init = Field.zeros(grid, 3)
     init.values[:, 1, 1, 1] = [1.0, 2.0, 3.0]
-    series, log = run3d(
-        init, params, grid, net, 0.5, 10.0, [0.0, 5.0, 10.0],
+    series = run3d(
+        init, params, net, 0.5, 10.0, [0.0, 5.0, 10.0],
         slice_axis="z", slice_index=1,
         trajectory_cells=[(1, 1, 1), (3, 3, 3)], trajectory_stride=4,
     )
+    log = series.trajectories
     assert series.steps == [0, 10, 20]
     for field, plane in zip(series.fields, series.slices):
         np.testing.assert_array_equal(plane, field.values[:, :, :, 1])
@@ -200,11 +201,11 @@ def test_run_rejects_bad_slice_and_cells():
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.01, 0.01, 0.01))
     init = Field.zeros(grid)
     with pytest.raises(ConfigurationError):
-        run3d(init, params, grid, None, 0.5, 1.0, [1.0], slice_axis="w")
+        run3d(init, params, None, 0.5, 1.0, [1.0], slice_axis="w")
     with pytest.raises(ConfigurationError):
-        run3d(init, params, grid, None, 0.5, 1.0, [1.0], slice_index=7)
+        run3d(init, params, None, 0.5, 1.0, [1.0], slice_index=7)
     with pytest.raises(ConfigurationError):
-        run3d(init, params, grid, None, 0.5, 1.0, [1.0],
+        run3d(init, params, None, 0.5, 1.0, [1.0],
               trajectory_cells=[(0, 1, 1)])
 
 
@@ -217,7 +218,7 @@ def test_run_detects_divergence_with_location():
     init = Field.zeros(grid)
     init.values[0, 2, 2, 2] = 1e280
     with pytest.raises(DivergenceError) as exc:
-        run3d(init, params, grid, None, 100.0, 10000.0, [10000.0],
+        run3d(init, params, None, 100.0, 10000.0, [10000.0],
               override_stability=True)
     assert exc.value.step >= 1
     where = re.search(r"after step (\d+) .* at species (\d+), cell \((\d+), (\d+), (\d+)\)",
@@ -244,7 +245,7 @@ def test_overflowing_chemistry_raises_numeric_error():
     # the time loop's finite check, not the chemistry, reports the overflow
     message = r"after step 1 .*species 0, cell \(2, 2, 2\)"
     with pytest.raises(DivergenceError, match=message) as exc:
-        run3d(init, params, grid, net, 1.0, 10.0, [10.0])
+        run3d(init, params, net, 1.0, 10.0, [10.0])
     assert exc.value.step == 1
 
 
@@ -253,4 +254,27 @@ def test_run_unstable_raises_stability_error():
     grid = _box(11, 10.0)
     params = TransportParams(u=(2.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     with pytest.raises(StabilityError):
-        run3d(Field.zeros(grid), params, grid, None, 1.0, 5.0, [5.0])
+        run3d(Field.zeros(grid), params, None, 1.0, 5.0, [5.0])
+
+
+def test_chemistry_rate_scale_hand_value(caplog):
+    # The estimate is dt * max over species of the summed |dR/dc| bounds.  A has
+    # zero maximum, so its bimolecular loss 2A -> B gives 5.0 * 2 * 0**1 = 0;
+    # B -> 2C gives 0.4 * 1 * 3**0 times its largest |stoichiometry|, 2.
+    grid = _box(5, 4.0)
+    params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
+    net = ReactionNetwork(
+        species=("A", "B", "C"),
+        loss=np.array([[2, 0], [0, 1], [0, 0]]),
+        gain=np.array([[0, 0], [1, 0], [0, 2]]),
+        rates=(ConstantRate(5.0), ConstantRate(0.4)), sources=(),
+    )
+    init = Field.zeros(grid, 3)
+    init.values[:, 2, 2, 2] = [0.0, 3.0, 1.0]
+    with caplog.at_level("WARNING", logger="adr_lab.solver3d"):
+        quiet = run3d(init, params, net, 0.5, 0.5, [0.5])
+    assert quiet.chemistry_rate_scale == 0.5 * (2 * 0.4) and not caplog.records
+    with caplog.at_level("WARNING", logger="adr_lab.solver3d"):
+        loud = run3d(init, params, net, 1.0, 1.0, [1.0])
+    assert loud.chemistry_rate_scale == 1.0 * (2 * 0.4)
+    assert len(caplog.records) == 1 and "0.8 > 0.5" in caplog.records[0].getMessage()
