@@ -31,9 +31,7 @@ from .grid import Field, Grid, zero_dirichlet
 
 __all__ = [
     "SeriesSolution",
-    "fourier_coefficient",
     "build_series",
-    "eval_series",
     "sample_series",
     "coefficient_rows",
 ]
@@ -85,25 +83,6 @@ def _weighted_samples(
     return x, w, fv * decay[:, None] * decay[None, :]
 
 
-def fourier_coefficient(
-    f: Callable,
-    u: float,
-    k: float,
-    m: int,
-    n: int,
-    quad_points: int | None = None,
-) -> float:
-    """Series coefficient A[m,n] by tensor-product composite quadrature."""
-    if m < 1 or n < 1:
-        raise InputError(f"mode orders must be >= 1, got ({m}, {n})")
-    if quad_points is None:
-        quad_points = default_quad_points(m, n)
-    x, w, F = _weighted_samples(f, u, k, quad_points)
-    sm = np.sin(m * np.pi * x) * w
-    sn = np.sin(n * np.pi * x) * w
-    return float(4.0 * sm @ F @ sn)
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     """Truncated double sine series with M*N coefficients."""
@@ -148,8 +127,8 @@ def build_series(
     """Compute all coefficients A[1..M, 1..N] for initial profile f.
 
     Uses one shared quadrature grid and a sine-matrix product; each entry
-    equals fourier_coefficient(f, u, k, m, n, quad_points) for the same
-    quad_points (tested against the per-coefficient path).
+    is the tensor-product quadrature of the A[m,n] integral with quad_points
+    nodes per axis (tested coefficient by coefficient).
     """
     if M < 1 or N < 1:
         raise InputError(f"truncation orders must be >= 1, got ({M}, {N})")
@@ -162,31 +141,13 @@ def build_series(
     return SeriesSolution(u=u, k=k, M=M, N=N, A=A)
 
 
-def eval_series(sol: SeriesSolution, t: float, x: float, y: float) -> float:
-    """Evaluate the truncated series at one point, t >= 0, (x, y) in [0,1]^2."""
-    if t < 0:
-        raise InputError(f"series evaluation requires t >= 0, got {t}")
-    growth = math.exp(sol.u * (x + y) / (2.0 * sol.k))
-    total = 0.0
-    for m, n in sol.term_order():
-        total += (
-            sol.A[m - 1, n - 1]
-            * math.exp(sol.eigenvalue(m, n) * t)
-            * math.sin(m * math.pi * x)
-            * math.sin(n * math.pi * y)
-        )
-    value = growth * total
-    if not math.isfinite(value):
-        raise NumericError(f"series evaluation non-finite at t={t}, ({x}, {y})")
-    return value
-
-
 def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     """Sample the series at every grid node; boundary exactly zero.
 
     The grid must cover the unit square: the series derivation hardwires
     [0,1]x[0,1].  Accumulates whole-grid terms in the fixed summation order,
-    which matches eval_series node by node up to the shared growth factor.
+    which matches a pointwise evaluation of the series node by node up to
+    the shared growth factor.
     """
     if not all(math.isclose(L, 1.0) for L in grid.lengths):
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Stoichiometric reaction networks and the NO/NO2/O3 photochemistry.
+"""Stoichiometric reaction networks and the NO2 photolysis rate schedule.
 
 A network of r reactions over s species is described by nonnegative integer
 loss and gain matrices l[j][kappa], gain[j][kappa] (species j, reaction
@@ -16,24 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, UnsupportedNetworkError
+from .errors import InputError, NumericError
 
 __all__ = [
     "ConstantRate",
     "PhotolysisK1",
-    "photolysis_k1",
     "PointSource",
     "ReactionNetwork",
-    "DbarEstimate",
-    "reaction_rates",
     "reaction_rates_field",
-    "classify_H",
-    "compute_dbar",
-    "ozone_network",
 ]
 
 # Daytime window in local hours, half-open so 20:00 is already night.
@@ -86,14 +79,6 @@ class PhotolysisK1:
             sec = math.sin(math.pi * (hour - DAY_START_HOUR) / 16.0) ** 0.2
             return K1_DAY_SCALE * math.exp(7.0 * sec)
         return K1_NIGHT
-
-
-_DEFAULT_K1 = PhotolysisK1()
-
-
-def photolysis_k1(t: float) -> float:
-    """The photolysis rate k1(t) in 1/s with the default day/night schedule."""
-    return _DEFAULT_K1(t)
 
 
 @dataclass(frozen=True)
@@ -164,46 +149,15 @@ class ReactionNetwork:
         return h
 
 
-def reaction_rates(
-    network: ReactionNetwork,
-    t: float,
-    c: Sequence[float],
-    cell: tuple[int, ...] | int | None = None,
-) -> np.ndarray:
-    """Per-species rates dc/dt at one cell, plus any sources registered there."""
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
-        raise InputError(f"concentrations must be finite, got {c}")
-    h = network.rate_values(t)
-    g = np.empty(network.reaction_count)
-    for kappa in range(network.reaction_count):
-        monomial = 1.0
-        for nu in range(network.species_count):
-            exp = network.loss[nu, kappa]
-            if exp:        # skipping exp == 0 realizes the 0**0 = 1 convention
-                monomial *= c[nu] ** exp
-        g[kappa] = h[kappa] * monomial
-        if not math.isfinite(g[kappa]):
-            raise NumericError(f"non-finite rate in reaction {kappa} at t={t}")
-    out = network.stoichiometry @ g
-    if cell is not None:
-        key = tuple(cell) if isinstance(cell, (tuple, list)) else cell
-        for src in network.sources:
-            if src.cell == key:
-                out[src.species] += src.rate
-    return out
-
-
 def reaction_rates_field(
     network: ReactionNetwork, t: float, conc: np.ndarray
 ) -> np.ndarray:
-    """Vectorized reaction_rates over a whole field, conc shape (s, *grid).
+    """The rates R_j(t, c) of every cell of a field, conc shape (s, *grid).
 
-    Sources are applied at their registered cells.  Equivalent to calling
-    reaction_rates cell by cell (tested); this path exists because the 3-D
-    solver evaluates chemistry over ~1e6 cells per step.  An overflow is
-    left in the result: the time loop's finite check reports it with its
-    step, species and cell.
+    Sources are applied at their registered cells.  Agrees with evaluating
+    R_j cell by cell (tested); whole arrays because the 3-D solver evaluates
+    chemistry over ~1e6 cells per step.  An overflow is left in the result:
+    the time loop's finite check reports it with its step, species and cell.
     """
     h = network.rate_values(t)
     out = np.zeros_like(conc)
@@ -222,85 +176,3 @@ def reaction_rates_field(
     for src in network.sources:
         out[(src.species,) + src.cell] += src.rate
     return out
-
-
-def classify_H(network: ReactionNetwork) -> tuple[bool, int | None]:
-    """Monomolecular classification: every reaction consumes 0 or 1 molecule.
-
-    Returns (holds, beta) where beta = 0 when no reaction consumes anything
-    (constant-source case) and beta = 1 when at least one reaction has a unit
-    loss entry.  beta is None when the classification fails.
-    """
-    per_reaction = network.loss.sum(axis=0)
-    holds = bool(np.isin(per_reaction, (0, 1)).all())
-    if not holds:
-        return False, None
-    beta = 0 if (per_reaction == 0).all() else 1
-    return True, beta
-
-
-@dataclass(frozen=True)
-class DbarEstimate:
-    """Growth-bound constant dbar and exponent beta for ||u(t)|| checks."""
-
-    dbar: float
-    beta: int
-
-
-def compute_dbar(network: ReactionNetwork) -> DbarEstimate:
-    """Lipschitz/affine bound constant of the reaction map.
-
-        dbar = sqrt(2(r-1)) * max( ||gain .* d||_F, ||(gain-loss) .* d||_F )
-
-    with d the per-reaction rate bounds.  Only valid for monomolecular
-    networks.  Degenerates to 0 at r = 1 because of the (r-1) factor; that
-    degeneracy is inherited from the bound's derivation and kept verbatim.
-    """
-    holds, beta = classify_H(network)
-    if not holds:
-        raise UnsupportedNetworkError(
-            "dbar is defined only for monomolecular networks "
-            "(every reaction must consume at most one molecule)"
-        )
-    d = np.array([sched.bound for sched in network.rates])
-    r = network.reaction_count
-    gain_term = float(np.sqrt(((network.gain * d) ** 2).sum()))
-    net_term = float(np.sqrt(((network.stoichiometry * d) ** 2).sum()))
-    dbar = math.sqrt(2 * (r - 1)) * max(gain_term, net_term)
-    return DbarEstimate(dbar=dbar, beta=beta)
-
-
-def ozone_network(
-    k2: float = 1e-16,
-    sigma2: float | None = 1e6,
-    source_cell: tuple[int, int, int] = (1, 1, 1),
-) -> ReactionNetwork:
-    """Tropospheric NO/NO2/O3 pair of reactions.
-
-    Reaction 1 (photolysis): NO2 -> NO + O3, rate k1(t) * [NO2].
-    Reaction 2:              NO + O3 -> NO2, rate k2 * [NO] * [O3].
-    O2 is treated as constant and folded into the rate constants.  sigma2, if
-    not None, is a constant NO emission at source_cell.  All values are in
-    whatever concentration unit the caller uses consistently.
-    """
-    loss = np.array([
-        [0, 1],   # NO
-        [1, 0],   # NO2
-        [0, 1],   # O3
-    ])
-    gain = np.array([
-        [1, 0],
-        [0, 1],
-        [1, 0],
-    ])
-    rates = (PhotolysisK1(), ConstantRate(k2))
-    sources = ()
-    if sigma2 is not None:
-        sources = (PointSource(species=0, cell=tuple(source_cell), rate=sigma2),)
-    return ReactionNetwork(
-        species=("NO", "NO2", "O3"),
-        loss=loss,
-        gain=gain,
-        rates=rates,
-        sources=sources,
-    )

@@ -130,7 +130,6 @@ class RunConfig:
     initial_values: list | None = None
     series_m: int | None = None
     series_n: int | None = None
-    quad_points: int | None = None
     slice_axis: str | None = None
     slice_index: int | None = None
     trajectory_stride: int | None = None
@@ -253,6 +252,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     tblock = _get(cfg, "time", "", dict, _REQUIRED if timed else {})
     dt = _get(tblock, "dt", "time.", float, _REQUIRED if timed else 0.0, positive=True)
     t_end = _get(tblock, "t_end", "time.", float, default=0.0)
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigurationError(f"time.t_end: must be finite and >= 0, got {t_end}")
     snapshot_times = _get(tblock, "snapshots", "time.", list[float], default=[]) or [t_end]
 
     # The first kind is the default.
@@ -284,7 +285,6 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
         fields.update(
             series_m=_get(sblock, "M", "series.", int, default=40, positive=True),
             series_n=_get(sblock, "N", "series.", int, default=40, positive=True),
-            quad_points=_get(sblock, "quad_points", "series.", int, default=None),
         )
     else:
         # Listed cells are tracked as given (run3d validates them); without
@@ -457,7 +457,7 @@ def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
 def _series(cfg: RunConfig):
     """The analytic series of the config's problem (checked at parse time)."""
     return build_series(_sine_product(cfg.grid), cfg.transport.u[0], cfg.transport.k[0],
-                        M=cfg.series_m, N=cfg.series_n, quad_points=cfg.quad_points)
+                        M=cfg.series_m, N=cfg.series_n)
 
 
 def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:

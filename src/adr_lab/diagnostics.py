@@ -1,5 +1,5 @@
-"""Numerical verification tools: error norms, convergence order, positivity,
-norm-growth bounds, and phase-space trajectory extraction.
+"""Numerical verification tools: error norms, convergence order, positivity
+and the per-cell trajectory log.
 
 All diagnostics are pure functions over snapshots and logs.
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analytic2d import SeriesSolution, sample_series
-from .chemistry import DbarEstimate
 from .errors import ConfigurationError, StabilityError
 from .grid import Field, TransportParams, sample_initial_2d
 from .snapshots import SnapshotSeries
@@ -25,9 +24,7 @@ __all__ = [
     "max_error_vs_analytic",
     "estimate_order",
     "convergence_order",
-    "boundedness_check",
     "positivity_check",
-    "max_pairwise_distance",
 ]
 
 
@@ -108,25 +105,6 @@ def convergence_order(
     return order, reports
 
 
-def boundedness_check(
-    times,
-    norms,
-    dbar: DbarEstimate,
-    u0_norm: float,
-) -> tuple[bool, np.ndarray]:
-    """Check ||u(t)|| <= exp(dbar*t) * (||u0|| + 1) at every sample.
-
-    Returns (ok, margins) where margins[i] = bound(t_i) - norm_i.  The bound
-    is proved only for monomolecular networks, the only ones compute_dbar
-    gives a DbarEstimate for.
-    """
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    bound = np.exp(dbar.dbar * times) * (u0_norm + 1.0)
-    margins = bound - norms
-    return bool((margins >= 0).all()), margins
-
-
 def positivity_check(series: SnapshotSeries) -> tuple[bool, dict | None]:
     """True iff every snapshot value is >= -tol, tol = 1e-12 * field max.
 
@@ -169,27 +147,7 @@ class TrajectoryLog:
         self.times.append(t)
         self.data.append(np.asarray(sample, dtype=float).copy())
 
-    def points(self, t_min: float = -math.inf, t_max: float = math.inf) -> np.ndarray:
-        """All (c1..cs) samples with t_min <= t < t_max as an (N, s) array."""
-        chunks = [d for t, d in zip(self.times, self.data) if t_min <= t < t_max]
-        if not chunks:
-            return np.empty((0, len(self.species)))
-        return np.concatenate(chunks, axis=0)
-
     def rows(self):
         for t, block in zip(self.times, self.data):
             for cell, conc in zip(self.cells, block):
                 yield (t, *cell, *conc)
-
-
-def max_pairwise_distance(points: np.ndarray, block: int = 1024) -> float:
-    """Largest Euclidean distance between any two rows of an (N, d) array."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return 0.0
-    best = 0.0
-    for start in range(0, pts.shape[0], block):
-        chunk = pts[start:start + block]
-        d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-CLI exit codes: ConfigurationError/InputError/UnsupportedNetworkError map to
-exit 1, NumericError and its DivergenceError to exit 2, StabilityError to
-exit 3.  Each class carries its code as `exit_code`.
+CLI exit codes: ConfigurationError and InputError map to exit 1,
+NumericError and its DivergenceError to exit 2, StabilityError to exit 3.
+Each class carries its code as `exit_code`.
 """
 
 
@@ -58,7 +58,3 @@ class StabilityError(AdrLabError):
 
     def manifest_fields(self) -> dict:
         return {"stability": self.report.as_dict()}
-
-
-class UnsupportedNetworkError(AdrLabError):
-    """The reaction network is outside the class a check is valid for."""

@@ -19,16 +19,12 @@ from adr_lab import (
     ConstantRate,
     Field,
     Grid,
+    PhotolysisK1,
     ReactionNetwork,
     TransportParams,
-    boundedness_check,
     build_series,
-    compute_dbar,
     convergence_order,
     l2_norm,
-    max_pairwise_distance,
-    ozone_network,
-    photolysis_k1,
     run3d,
     stability2d,
     step2d,
@@ -36,6 +32,7 @@ from adr_lab import (
     zero_dirichlet,
 )
 from adr_lab.cli import bundled_config_path, execute, parse_config
+from oracles import boundedness_check, bundled_ozone, compute_dbar, max_pairwise_distance
 
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -154,11 +151,12 @@ def test_criterion_01_stability_numbers():
 
 def test_criterion_02_photolysis_peak_and_period():
     noon = 12 * 3600.0
-    assert abs(photolysis_k1(noon) - 1.0966e-2) < 1e-5
-    assert photolysis_k1(2 * 3600.0) == 1e-40
+    k1 = PhotolysisK1()
+    assert abs(k1(noon) - 1.0966e-2) < 1e-5
+    assert k1(2 * 3600.0) == 1e-40
     for t in (0.0, 7200.0, noon, 61200.0, 86399.5):
-        assert photolysis_k1(t + 86400.0) == photolysis_k1(t)
-        assert photolysis_k1(t + 10 * 86400.0) == photolysis_k1(t)
+        assert k1(t + 86400.0) == k1(t)
+        assert k1(t + 10 * 86400.0) == k1(t)
 
 
 def test_criterion_03_2d_error_under_frozen_baseline(compare_runs):
@@ -217,7 +215,7 @@ def test_criterion_05_positivity_and_maximum_principle():
 def test_criterion_06_stoichiometric_conservation():
     grid = Grid((5, 5, 5), (40.0, 40.0, 40.0))
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
-    net = ozone_network(k2=1e-23, sigma2=0.0)
+    net = bundled_ozone(k2=1e-23)
     rng = np.random.default_rng(1)
     field = Field(grid, rng.uniform(1e14, 1e18, size=(3, 5, 5, 5)))
     zero_dirichlet(field)

@@ -8,11 +8,10 @@ from adr_lab import (
     Grid,
     build_series,
     default_quad_points,
-    eval_series,
-    fourier_coefficient,
     sample_series,
 )
 from adr_lab.analytic2d import coefficient_rows
+from oracles import eval_series, fourier_coefficient
 
 U, K = 5.0, 0.5
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)

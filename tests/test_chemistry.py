@@ -11,60 +11,57 @@ from adr_lab import (
     PhotolysisK1,
     PointSource,
     ReactionNetwork,
-    UnsupportedNetworkError,
-    classify_H,
-    compute_dbar,
-    ozone_network,
-    photolysis_k1,
-    reaction_rates,
 )
 from adr_lab.chemistry import reaction_rates_field
+from adr_lab.cli import bundled_config_path, parse_config
+from oracles import bundled_ozone, classify_H, compute_dbar, reaction_rates
 
 DAY = 86400.0
 NOON = 12 * 3600.0
+K1 = PhotolysisK1()
 
 
 def test_photolysis_noon_peak():
     # closed form: 1e-5 * exp(7 * sin(pi/2)**0.2) = 1e-5 * e**7
-    assert photolysis_k1(NOON) == pytest.approx(1e-5 * math.exp(7.0), rel=1e-15)
-    assert abs(photolysis_k1(NOON) - 1.0966e-2) < 1e-5
+    assert K1(NOON) == pytest.approx(1e-5 * math.exp(7.0), rel=1e-15)
+    assert abs(K1(NOON) - 1.0966e-2) < 1e-5
 
 
 def test_photolysis_night_floor():
-    assert photolysis_k1(2 * 3600.0) == 1e-40
-    assert photolysis_k1(0.0) == 1e-40
-    assert photolysis_k1(23 * 3600.0) == 1e-40
+    assert K1(2 * 3600.0) == 1e-40
+    assert K1(0.0) == 1e-40
+    assert K1(23 * 3600.0) == 1e-40
 
 
 def test_photolysis_day_window_half_open():
     # dawn: sine is 0 and 0**0.2 == 0, so the day branch starts at 1e-5
-    assert photolysis_k1(4 * 3600.0) == 1e-5
+    assert K1(4 * 3600.0) == 1e-5
     # dusk: 20:00 itself is already night
-    assert photolysis_k1(20 * 3600.0) == 1e-40
-    assert photolysis_k1(20 * 3600.0 - 1.0) > 1e-6
+    assert K1(20 * 3600.0) == 1e-40
+    assert K1(20 * 3600.0 - 1.0) > 1e-6
 
 
 def test_photolysis_rejects_negative_time():
     with pytest.raises(InputError):
-        photolysis_k1(-1.0)
+        K1(-1.0)
 
 
 @given(st.integers(0, 86400 * 64 - 1).map(lambda n: n / 64.0),
        st.integers(1, 30))
 def test_photolysis_exact_periodicity(t, days):
     # t on a 1/64 s lattice keeps t + days*86400 exactly representable
-    assert photolysis_k1(t + days * DAY) == photolysis_k1(t)
+    assert K1(t + days * DAY) == K1(t)
 
 
 @given(st.floats(0.0, 30 * DAY, allow_nan=False))
 def test_photolysis_bounds(t):
-    v = photolysis_k1(t)
+    v = K1(t)
     assert 0.0 < v <= 1e-5 * math.exp(7.0)
 
 
 def test_photolysis_noon_is_maximum_sample():
-    samples = [photolysis_k1(600.0 * i) for i in range(144)]
-    assert max(samples) == photolysis_k1(NOON)
+    samples = [K1(600.0 * i) for i in range(144)]
+    assert max(samples) == K1(NOON)
 
 
 def test_constant_rate():
@@ -105,7 +102,7 @@ def test_network_validation():
 
 
 def test_stoichiometry_is_gain_minus_loss():
-    net = ozone_network()
+    net = bundled_ozone(k2=1e-16)
     expected = np.array([[1, -1], [-1, 1], [1, -1]])
     np.testing.assert_array_equal(net.stoichiometry, expected)
     assert net.species == ("NO", "NO2", "O3")
@@ -126,10 +123,10 @@ def test_rate_values_enforce_bounds():
 
 
 def test_reaction_rates_hand_computed_ozone():
-    net = ozone_network(k2=1e-16, sigma2=0.0)
+    net = bundled_ozone(k2=1e-16)
     c = np.array([2.0, 3.0, 5.0])  # NO, NO2, O3
     t = NOON
-    k1 = photolysis_k1(t)
+    k1 = K1(t)
     g1 = k1 * c[1]
     g2 = 1e-16 * c[0] * c[2]
     expected = np.array([g1 - g2, g2 - g1, g1 - g2])
@@ -153,7 +150,7 @@ def test_reaction_rates_reactantless_reaction_is_pure_source_term():
 
 
 def test_point_source_applies_only_at_its_cell():
-    net = ozone_network(k2=0.0, sigma2=7.0, source_cell=(1, 1, 1))
+    net = bundled_ozone(k2=0.0, no_emission=7.0, cell=(1, 1, 1))
     c = np.zeros(3)
     at_cell = reaction_rates(net, 0.0, c, cell=(1, 1, 1))
     elsewhere = reaction_rates(net, 0.0, c, cell=(2, 1, 1))
@@ -168,7 +165,7 @@ def test_reaction_rates_rejects_non_finite_input():
 
 
 def test_field_rates_match_pointwise():
-    net = ozone_network(k2=1e-3, sigma2=5.0, source_cell=(1, 2, 1))
+    net = bundled_ozone(k2=1e-3, no_emission=5.0, cell=(1, 2, 1))
     rng = np.random.default_rng(42)
     conc = rng.uniform(0.0, 4.0, size=(3, 4, 4, 4))
     t = NOON
@@ -189,7 +186,7 @@ def test_classify_H():
     )
     holds, beta = classify_H(net0)
     assert holds and beta == 0
-    holds, beta = classify_H(ozone_network())  # NO + O3 consumes two molecules
+    holds, beta = classify_H(bundled_ozone(k2=1e-16))  # NO + O3 consumes two molecules
     assert not holds
 
 
@@ -220,12 +217,18 @@ def test_compute_dbar_two_reactions():
 
 
 def test_compute_dbar_rejects_bimolecular():
-    with pytest.raises(UnsupportedNetworkError):
-        compute_dbar(ozone_network())
+    with pytest.raises(ValueError, match="monomolecular"):
+        compute_dbar(bundled_ozone(k2=1e-16))
 
 
 def test_ozone_network_unit_arguments():
-    net = ozone_network(k2=3.0, sigma2=9.0, source_cell=(2, 2, 2))
+    # the bundled network in model units: with 1e7 cm^3 cells the per-cm^3
+    # NO + O3 constant shrinks by 1e7 and the NO emission grows by 1e7
+    net = parse_config(bundled_config_path("ozone-3d.yaml")).network
+    assert isinstance(net.rates[0], PhotolysisK1)
+    assert net.rates[1].value == pytest.approx(1e-23, rel=1e-15)
+    assert net.sources == (PointSource(species=0, cell=(1, 1, 1), rate=1e13),)
+    net = bundled_ozone(k2=3.0, no_emission=9.0, cell=(2, 2, 2))
     assert isinstance(net.rates[0], PhotolysisK1)
     assert net.rates[1].value == 3.0
     assert net.sources == (PointSource(species=0, cell=(2, 2, 2), rate=9.0),)

@@ -12,20 +12,18 @@ from adr_lab import (
     StabilityError,
     TrajectoryLog,
     TransportParams,
-    boundedness_check,
     build_series,
-    compute_dbar,
     convergence_order,
     estimate_order,
     l2_norm,
     max_error_vs_analytic,
-    max_pairwise_distance,
     positivity_check,
     run2d,
     sample_initial_2d,
     sample_series,
 )
 from adr_lab.snapshots import SnapshotSeries
+from oracles import boundedness_check, compute_dbar, max_pairwise_distance, trajectory_points
 
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -142,11 +140,11 @@ def test_trajectory_log_append_points_rows():
                         species=["a", "b"])
     log.append(0.0, np.array([[1.0, 2.0], [3.0, 4.0]]))
     log.append(5.0, np.array([[1.5, 2.5], [3.5, 4.5]]))
-    pts = log.points()
+    pts = trajectory_points(log)
     assert pts.shape == (4, 2)
-    early = log.points(t_max=1.0)
+    early = trajectory_points(log, t_max=1.0)
     assert early.shape == (2, 2)
-    late = log.points(t_min=5.0)
+    late = trajectory_points(log, t_min=5.0)
     np.testing.assert_array_equal(late, [[1.5, 2.5], [3.5, 4.5]])
     rows = list(log.rows())
     assert rows[0] == (0.0, 1, 1, 1, 1.0, 2.0)

@@ -11,6 +11,7 @@ from adr_lab import (
     Grid,
     StabilityError,
     TransportParams,
+    l2_norm,
     run2d,
     sample_initial_2d,
     stability2d,
@@ -111,6 +112,30 @@ def test_run_matches_exact_discrete_solution_random_stable():
         _assert_run_matches_exact(Field(grid, values), params, dt, steps * dt,
                                   [steps * dt])
         cases += 1
+
+
+def test_norm_ratio_tends_to_leading_eigenvalue_benchmark_2d():
+    # The paper's asymptotic decay in discrete form: over dn steps the L2 norm
+    # shrinks by a factor that tends to lambda_11**dn, the leading eigenvalue
+    # of the scheme (see exact_centered), and the relative excess over it
+    # dies like (lambda_12 / lambda_11)**dn, the ratio of the next mode.
+    cfg = parse_config(bundled_config_path("benchmark-2d.yaml"))
+    init = sample_initial_2d(cfg.grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    dn = 500
+    times = [n * dn * cfg.dt for n in range(1, 9)]
+    series = run2d(init, cfg.transport, cfg.dt, times[-1], times)
+    assert series.steps == [n * dn for n in range(1, 9)]
+    c0, xp, xm, yp, ym = stability2d(cfg.transport, cfg.grid, cfg.dt).coefficients
+    nx, ny = cfg.grid.shape
+    lam11, lam12 = (c0 + 2 * np.sqrt(xm * xp) * np.cos(np.pi / (nx - 1))
+                    + 2 * np.sqrt(ym * yp) * np.cos(q * np.pi / (ny - 1))
+                    for q in (1, 2))
+    norms = [l2_norm(f) for f in series.fields]
+    excess = [b / a / lam11**dn - 1.0 for a, b in zip(norms, norms[1:])]
+    assert all(b < a for a, b in zip(excess, excess[1:])), excess
+    assert 0.0 < excess[-1] < 1e-2, excess
+    quotients = [b / a for a, b in zip(excess, excess[1:])]
+    np.testing.assert_allclose(quotients[-3:], (lam12 / lam11) ** dn, rtol=0.05)
 
 
 def test_stability_numbers_reference_case():

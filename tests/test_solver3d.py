@@ -11,12 +11,11 @@ from adr_lab import (
     Grid,
     ReactionNetwork,
     TransportParams,
-    ozone_network,
-    reaction_rates,
     run3d,
     stability3d,
     step3d,
 )
+from oracles import bundled_ozone, reaction_rates, trajectory_points
 
 NOON = 12 * 3600.0
 
@@ -108,7 +107,7 @@ def test_step_matches_naive_loop_bitwise_transport():
 def test_step_matches_naive_loop_with_chemistry():
     grid = Grid((5, 5, 5), (50.0, 50.0, 50.0))
     params = TransportParams(u=(1.0, 1.0, 1.0), k=(2e-5, 2e-5, 2e-5))
-    net = ozone_network(k2=1e-3, sigma2=5.0, source_cell=(1, 1, 1))
+    net = bundled_ozone(k2=1e-3, no_emission=5.0, cell=(1, 1, 1))
     dt = 0.5
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 2.0, size=(3, 5, 5, 5))
@@ -124,7 +123,7 @@ def test_chemistry_uses_previous_step_state():
     # field, so with u = k = 0 a step is exactly pointwise Euler chemistry
     grid = _box(5, 4.0)
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
-    net = ozone_network(k2=0.5, sigma2=0.0)
+    net = bundled_ozone(k2=0.5)
     values = np.zeros((3, 5, 5, 5))
     values[:, 2, 2, 2] = [1.0, 2.0, 3.0]
     field = Field(grid, values.copy())
@@ -139,7 +138,7 @@ def test_chemistry_uses_previous_step_state():
 def test_source_feeds_its_cell_only():
     grid = _box(5, 4.0)
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
-    net = ozone_network(k2=0.0, sigma2=3.0, source_cell=(1, 2, 3))
+    net = bundled_ozone(k2=0.0, no_emission=3.0, cell=(1, 2, 3))
     field = Field.zeros(grid, 3)
     stepped = step3d(field, params, net, 0.0, 2.0)
     assert stepped.values[0, 1, 2, 3] == 6.0  # NO only
@@ -150,7 +149,7 @@ def test_conservation_without_source_or_transport():
     # S has columns (1,-1,1) and (-1,1,-1): c1+c2 and c2+c3 are invariants
     grid = _box(5, 4.0)
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
-    net = ozone_network(k2=1e-3, sigma2=0.0)
+    net = bundled_ozone(k2=1e-3)
     rng = np.random.default_rng(5)
     values = rng.uniform(0.5, 2.0, size=(3, 5, 5, 5))
     field = Field(grid, values)
@@ -178,7 +177,7 @@ def test_boundary_stays_zero():
 def test_run_returns_slices_and_trajectories():
     grid = _box(7, 6.0)
     params = TransportParams(u=(0.1, 0.1, 0.1), k=(0.01, 0.01, 0.01))
-    net = ozone_network(k2=1e-4, sigma2=1.0, source_cell=(1, 1, 1))
+    net = bundled_ozone(k2=1e-4, no_emission=1.0, cell=(1, 1, 1))
     init = Field.zeros(grid, 3)
     init.values[:, 1, 1, 1] = [1.0, 2.0, 3.0]
     series = run3d(
@@ -190,7 +189,7 @@ def test_run_returns_slices_and_trajectories():
     assert series.steps == [0, 10, 20]
     for field, plane in zip(series.fields, series.slices):
         np.testing.assert_array_equal(plane, field.values[:, :, :, 1])
-    pts = log.points()
+    pts = trajectory_points(log)
     # 20 steps, sampled every 4th plus step 0: 6 samples x 2 cells
     assert pts.shape == (12, 3)
     assert series.stability.ok
