@@ -122,19 +122,17 @@ def build_series(
     k: float,
     M: int = 40,
     N: int = 40,
-    quad_points: int | None = None,
 ) -> SeriesSolution:
     """Compute all coefficients A[1..M, 1..N] for initial profile f.
 
     Uses one shared quadrature grid and a sine-matrix product; each entry
-    is the tensor-product quadrature of the A[m,n] integral with quad_points
-    nodes per axis (tested coefficient by coefficient).
+    is the tensor-product quadrature of the A[m,n] integral with
+    default_quad_points(M, N) nodes per axis (tested coefficient by
+    coefficient).
     """
     if M < 1 or N < 1:
         raise InputError(f"truncation orders must be >= 1, got ({M}, {N})")
-    if quad_points is None:
-        quad_points = default_quad_points(M, N)
-    x, w, F = _weighted_samples(f, u, k, quad_points)
+    x, w, F = _weighted_samples(f, u, k, default_quad_points(M, N))
     Sm = np.sin(np.pi * np.arange(1, M + 1)[:, None] * x[None, :]) * w
     Sn = np.sin(np.pi * np.arange(1, N + 1)[:, None] * x[None, :]) * w
     A = 4.0 * Sm @ F @ Sn.T

@@ -251,6 +251,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     timed = mode != "analytic2d"
     tblock = _get(cfg, "time", "", dict, _REQUIRED if timed else {})
     dt = _get(tblock, "dt", "time.", float, _REQUIRED if timed else 0.0, positive=True)
+    if not dt < math.inf:
+        raise ConfigurationError(f"time.dt: must be finite, got {dt}")
     t_end = _get(tblock, "t_end", "time.", float, default=0.0)
     if not 0.0 <= t_end < math.inf:
         raise ConfigurationError(f"time.t_end: must be finite and >= 0, got {t_end}")

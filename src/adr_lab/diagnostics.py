@@ -137,7 +137,6 @@ class TrajectoryLog:
 
     cells: list[tuple[int, ...]]
     stride: int
-    species: list[str]
     times: list[float] = dc_field(default_factory=list)
     data: list[np.ndarray] = dc_field(default_factory=list)  # (n_cells, s) each
 

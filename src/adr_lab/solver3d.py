@@ -176,8 +176,6 @@ def run3d(
         cells=[grid.interior_cell(c, f"trajectories.cells[{n}]")
                for n, c in enumerate(trajectory_cells or [])],
         stride=trajectory_stride,
-        species=list(network.species) if network is not None
-        else [f"c{j+1}" for j in range(initial.species_count)],
     )
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report,
                             chemistry_rate_scale=scale, trajectories=log,

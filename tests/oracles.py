@@ -201,7 +201,7 @@ def trajectory_points(
     """All (c1..cs) samples of log with t_min <= t < t_max as an (N, s) array."""
     chunks = [d for t, d in zip(log.times, log.data) if t_min <= t < t_max]
     if not chunks:
-        return np.empty((0, len(log.species)))
+        return np.empty((0, 0))
     return np.concatenate(chunks, axis=0)
 
 

@@ -272,6 +272,7 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     ("converge", ("converge", "nx_levels"), [2, 4, 8], "converge.nx_levels"),
     ("simulate2d", ("time", "t_end"), -3.0, "time.t_end"),
     ("simulate2d", ("time", "t_end"), float("inf"), "time.t_end"),
+    ("simulate2d", ("time", "dt"), float("inf"), "time.dt"),
     ("compare", ("series", "quad_points"), 8, "series.quad_points"),
 ], ids=["nx-levels-not-int", "initial-kind-unknown", "nx-levels-repeated",
         "nx-levels-decreasing", "compare-zero-initial", "converge-zero-initial",
@@ -279,7 +280,7 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
         "converge-non-unit-grid", "compare-unequal-u", "analytic2d-unequal-k",
         "converge-unequal-u", "chemistry-in-2d", "slice-in-2d", "series-m-zero",
         "series-n-zero", "nx-levels-below-3", "t-end-negative", "t-end-infinite",
-        "series-quad-points-removed"])
+        "dt-infinite", "series-quad-points-removed"])
 def test_bad_2d_config_exits_1_naming_key(tmp_path, capsys, mode, path, value, key):
     raw = dict(COMPARE_SMALL, mode=mode)
     if mode == "converge":

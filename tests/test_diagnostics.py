@@ -136,8 +136,7 @@ def test_positivity_check_tolerates_rounding_noise():
 
 
 def test_trajectory_log_append_points_rows():
-    log = TrajectoryLog(cells=[(1, 1, 1), (2, 2, 2)], stride=5,
-                        species=["a", "b"])
+    log = TrajectoryLog(cells=[(1, 1, 1), (2, 2, 2)], stride=5)
     log.append(0.0, np.array([[1.0, 2.0], [3.0, 4.0]]))
     log.append(5.0, np.array([[1.5, 2.5], [3.5, 4.5]]))
     pts = trajectory_points(log)
