@@ -34,6 +34,8 @@ DAY_START_HOUR = 4.0
 DAY_END_HOUR = 20.0
 K1_DAY_SCALE = 1e-5
 K1_NIGHT = 1e-40
+# planes of a field block whose rates are computed together
+CHUNK_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -149,30 +151,63 @@ class ReactionNetwork:
         return h
 
 
-def reaction_rates_field(
-    network: ReactionNetwork, t: float, conc: np.ndarray
-) -> np.ndarray:
-    """The rates R_j(t, c) of every cell of a field, conc shape (s, *grid).
+def _add_rates(network: ReactionNetwork, h: np.ndarray, conc: np.ndarray,
+               out: np.ndarray, g: np.ndarray) -> None:
+    """out[j] = 0 + sum over kappa of sto[j, kappa] * g_kappa, added left to right.
 
-    Sources are applied at their registered cells.  Agrees with evaluating
-    R_j cell by cell (tested); whole arrays because the 3-D solver evaluates
-    chemistry over ~1e6 cells per step.  An overflow is left in the result:
-    the time loop's finite check reports it with its step, species and cell.
+    g_kappa = h[kappa] * prod c_nu ** loss[nu, kappa], multiplied left to
+    right, is built in g; x + (-1)*g is x - g.  Species that no reaction
+    changes are left alone.
+    """
+    sto = network.stoichiometry
+    started = np.zeros(network.species_count, dtype=bool)
+    for kappa in range(network.reaction_count):
+        factors = [conc[nu] if exp == 1 else conc[nu] ** exp
+                   for nu, exp in enumerate(network.loss[:, kappa]) if exp]
+        if factors:
+            np.multiply(h[kappa], factors[0], out=g)
+        else:
+            g.fill(h[kappa])
+        for factor in factors[1:]:
+            g *= factor
+        for j in np.flatnonzero(sto[:, kappa]):
+            v, acc = sto[j, kappa], (out[j] if started[j] else 0.0)
+            if v == 1:
+                np.add(acc, g, out=out[j])
+            elif v == -1:
+                np.subtract(acc, g, out=out[j])
+            else:
+                np.add(acc, v * g, out=out[j])
+            started[j] = True
+
+
+def reaction_rates_field(
+    network: ReactionNetwork, t: float, conc: np.ndarray,
+    out: np.ndarray | None = None, offset: tuple[int, ...] | None = None,
+) -> np.ndarray:
+    """The rates R_j(t, c) of every cell of a block of a field, conc shape (s, *block).
+
+    offset is the grid index of the block's first cell (the origin when
+    None); sources registered at cells inside the block are applied there.
+    The rates go to out when given, else to a new array, which is returned.
+    Agrees with evaluating R_j cell by cell (tested); whole arrays because
+    the 3-D solver evaluates chemistry over ~1e6 cells per step.  An
+    overflow is left in the result: the time loop's finite check reports it
+    with its step, species and cell.
     """
     h = network.rate_values(t)
-    out = np.zeros_like(conc)
+    out = np.empty_like(conc) if out is None else out
     sto = network.stoichiometry
-    for kappa in range(network.reaction_count):
-        g = np.full(conc.shape[1:], h[kappa])
-        for nu in range(network.species_count):
-            exp = network.loss[nu, kappa]
-            if exp == 1:
-                g *= conc[nu]
-            elif exp > 1:
-                g *= conc[nu] ** exp
-        for j in range(network.species_count):
-            if sto[j, kappa]:
-                out[j] += sto[j, kappa] * g
+    out[~sto.any(axis=1)] = 0.0  # species that no reaction changes
+    block = conc.shape[1:]
+    g = np.empty((min(CHUNK_PLANES, block[0]),) + block[1:])
+    # in chunks along the first axis, so that g stays in cache while it is added
+    for a in range(0, block[0], CHUNK_PLANES):
+        c, o = conc[:, a:a + CHUNK_PLANES], out[:, a:a + CHUNK_PLANES]
+        _add_rates(network, h, c, o, g[:c.shape[1]])
+    origin = offset or (0,) * len(block)
     for src in network.sources:
-        out[(src.species,) + src.cell] += src.rate
+        local = tuple(i - first for i, first in zip(src.cell, origin))
+        if all(0 <= i < n for i, n in zip(local, block)):
+            out[(src.species,) + local] += src.rate
     return out

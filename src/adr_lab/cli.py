@@ -9,8 +9,9 @@ name (analytic2d | simulate2d | simulate3d | compare | converge |
 trajectories) combined with --config.  Every run writes a manifest.json
 (created before the first snapshot, finalized at exit, present even for
 failed runs) plus mode-specific CSV artifacts.  All outputs are written
-atomically (temp file + rename) and are bit-reproducible: --threads is a
-scheduling hint recorded in the manifest and never changes output bytes.
+atomically (temp file + rename) and are bit-reproducible: --threads N steps
+each 3-D step as up to N x-slabs in a thread pool, and the outputs are
+bit-identical for every N.
 
 Exit codes: 0 success, 1 validation error, 2 numeric divergence,
 3 stability rejection.
@@ -434,10 +435,11 @@ def _initial_field(cfg: RunConfig) -> Field:
     return field
 
 
-def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
+def _simulate(cfg: RunConfig, manifest: Manifest, override: bool, threads: int):
     """Run the scheme of the grid's dimension from the configured initial field.
 
-    Records the stability report in the manifest and returns the SnapshotSeries.
+    threads splits each 3-D step into x-slabs.  Records the stability report
+    in the manifest and returns the SnapshotSeries.
     """
     initial = _initial_field(cfg)
     if cfg.grid.ndim == 2:
@@ -449,7 +451,7 @@ def _simulate(cfg: RunConfig, manifest: Manifest, override: bool):
             cfg.snapshot_times, slice_axis=cfg.slice_axis,
             slice_index=cfg.slice_index, trajectory_cells=cfg.trajectory_cells,
             trajectory_stride=cfg.trajectory_stride, override_stability=override,
-            alpha=cfg.alpha,
+            alpha=cfg.alpha, threads=threads,
         )
     manifest.data["stability"] = series.stability.as_dict()
     manifest.flush()
@@ -462,7 +464,8 @@ def _series(cfg: RunConfig):
                         M=cfg.series_m, N=cfg.series_n)
 
 
-def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
+                    threads: int) -> None:
     sol = _series(cfg)
     write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
     for t in cfg.snapshot_times:
@@ -472,8 +475,9 @@ def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     manifest.finalize("ok", series={"M": sol.M, "N": sol.N})
 
 
-def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
-    series = _simulate(cfg, manifest, override)
+def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
+                    threads: int) -> None:
+    series = _simulate(cfg, manifest, override, threads)
     for step, field in zip(series.steps, series.fields):
         write_slice(out / f"snap_t{step}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
@@ -487,9 +491,10 @@ def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     )
 
 
-def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
+                    threads: int) -> None:
     t0 = time.perf_counter()
-    series = _simulate(cfg, manifest, override)
+    series = _simulate(cfg, manifest, override, threads)
     wall = time.perf_counter() - t0
     for step, plane in zip(series.steps, series.slices):
         write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
@@ -518,9 +523,10 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     )
 
 
-def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
+                 threads: int) -> None:
     sol = _series(cfg)
-    series = _simulate(cfg, manifest, override)
+    series = _simulate(cfg, manifest, override, threads)
     reports = [
         max_error_vs_analytic(field, sol, t)
         for t, field in zip(series.times, series.fields)
@@ -536,7 +542,8 @@ def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) 
     )
 
 
-def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest, override: bool) -> None:
+def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
+                  threads: int) -> None:
     sol = _series(cfg)
     base_dx = cfg.grid.spacing[0]
     levels = []
@@ -566,14 +573,27 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
+def _check_threads(threads) -> None:
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigurationError(f"--threads: must be an integer >= 1, got {threads!r}")
+
+
 def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
             override_stability: bool = False) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+    """Dispatch a validated config; returns the process exit code.
+
+    threads below 1 exits 1 before the manifest is written.
+    """
+    try:
+        _check_threads(threads)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg, threads)
     try:
-        _RUNNERS[cfg.mode](cfg, out, manifest, override_stability)
+        _RUNNERS[cfg.mode](cfg, out, manifest, override_stability, threads)
     except AdrLabError as exc:
         manifest.finalize("failed", error=str(exc), **exc.manifest_fields())
         print(f"error: {exc}", file=sys.stderr)
@@ -594,12 +614,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="config path (when target is a mode name)")
     parser.add_argument("--out-dir", default="adr-lab-out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; never changes output bytes")
+                        help="threads for each 3-D step, at most one per CPU "
+                             "(default 1); outputs are bit-identical for every value")
     parser.add_argument("--override-stability", action="store_true",
                         help="run even when the stability gate fails")
     args = parser.parse_args(argv)
 
     try:
+        _check_threads(args.threads)
         if Path(args.target).is_file():
             cfg = parse_config(args.target)
         elif args.target in MODES:

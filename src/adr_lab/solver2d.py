@@ -91,4 +91,5 @@ def run2d(
         return step2d(field, params, dt, override_stability=override_stability,
                       _report=report)
 
+    report.require(override_stability, "Rx", "Ry", "Px", "Py")
     return run_steps(initial, advance, dt, t_end, series)

@@ -8,7 +8,7 @@ forward Euler evaluated on the previous-step state, so one step is
                        + sum_i k_i (c[i+1] - 2 c[i] + c[i-1]) / d_i^2
                        + R(t, c) )
 
-on every interior node, with boundaries re-zeroed afterwards.  Stability
+on every interior node, while boundary nodes stay zero.  Stability
 requires the combined constraint
 
     2(Rx + Ry + Rz) + Px Rx + Py Ry + Pz Rz < 1,   R = k dt/d^2, P = u d/k
@@ -20,6 +20,8 @@ condition max_i(u_i dt / d_i) <= alpha < 1.
 from __future__ import annotations
 
 import logging
+import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,11 +31,16 @@ from .errors import ConfigurationError
 from .grid import Field, Grid, TransportParams, zero_dirichlet
 from .snapshots import SnapshotSeries, Stability, run_steps
 
-__all__ = ["stability3d", "step3d", "run3d"]
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
+__all__ = ["stability3d", "step3d", "run3d", "x_slabs"]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.9
+# x-planes per tile of a slab, so that a tile's operands stay in a core's L2
+TILE_PLANES = 4
 
 
 def stability3d(
@@ -68,17 +75,63 @@ def stability3d(
     return Stability("upwind-3d", numbers, violated, (courant, r))
 
 
-def _transport_increment(cs: np.ndarray, adv, dif, out: np.ndarray) -> None:
-    """Write the upwind + diffusion increment for one species into out[1:-1,...]."""
-    I = (slice(1, -1),) * 3
-    out[I] = (
-        -adv[0] * (cs[1:-1, 1:-1, 1:-1] - cs[:-2, 1:-1, 1:-1])
-        - adv[1] * (cs[1:-1, 1:-1, 1:-1] - cs[1:-1, :-2, 1:-1])
-        - adv[2] * (cs[1:-1, 1:-1, 1:-1] - cs[1:-1, 1:-1, :-2])
-        + dif[0] * (cs[2:, 1:-1, 1:-1] - 2.0 * cs[1:-1, 1:-1, 1:-1] + cs[:-2, 1:-1, 1:-1])
-        + dif[1] * (cs[1:-1, 2:, 1:-1] - 2.0 * cs[1:-1, 1:-1, 1:-1] + cs[1:-1, :-2, 1:-1])
-        + dif[2] * (cs[1:-1, 1:-1, 2:] - 2.0 * cs[1:-1, 1:-1, 1:-1] + cs[1:-1, 1:-1, :-2])
-    )
+def x_slabs(nx: int, threads: int) -> list[tuple[int, int]]:
+    """Split the interior x-planes 1..nx-2 into contiguous [lo, hi) slabs.
+
+    There are min(threads, usable CPUs, nx-2) slabs, at least one, whose
+    sizes differ by at most one plane.
+    """
+    count = max(1, min(threads, _usable_cpus(), nx - 2))
+    bounds = [1 + (nx - 2) * n // count for n in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _advance_slab(old: np.ndarray, new: np.ndarray, lo: int, hi: int, adv, dif,
+                  network: ReactionNetwork | None, t: float, dt: float) -> None:
+    """Write the stepped interior of x-planes [lo, hi) of old into new.
+
+    The slab's chemistry lands in new first.  Each tile of TILE_PLANES planes
+    then takes dt*rates out, writes the transport increment in its place and
+    adds the old state and dt*rates, grouped as in the formula of the module
+    docstring read left to right, so every partition gives the same bytes.
+    """
+    inner = (slice(None), slice(lo, hi), slice(1, -1), slice(1, -1))
+    if network is not None:
+        reaction_rates_field(network, t, old[inner], out=new[inner], offset=(lo, 1, 1))
+    shape = (min(TILE_PLANES, hi - lo), old.shape[2] - 2, old.shape[3] - 2)
+    scratch, twice, rates = np.empty(shape), np.empty(shape), np.empty(shape)
+    for a in range(lo, hi, TILE_PLANES):
+        b = min(a + TILE_PLANES, hi)
+        w, c2, r = scratch[:b - a], twice[:b - a], rates[:b - a]
+        for s in range(old.shape[0]):
+            c, o = old[s], new[s, a:b, 1:-1, 1:-1]
+            centre = c[a:b, 1:-1, 1:-1]
+            lower = (c[a - 1:b - 1, 1:-1, 1:-1], c[a:b, :-2, 1:-1], c[a:b, 1:-1, :-2])
+            upper = (c[a + 1:b + 1, 1:-1, 1:-1], c[a:b, 2:, 1:-1], c[a:b, 1:-1, 2:])
+            if network is not None:
+                np.multiply(o, dt, out=r)
+            np.subtract(centre, lower[0], out=o)
+            o *= -adv[0]
+            for axis in (1, 2):
+                np.subtract(centre, lower[axis], out=w)
+                w *= adv[axis]
+                o -= w
+            np.multiply(centre, 2.0, out=c2)
+            for axis in range(3):
+                np.subtract(upper[axis], c2, out=w)
+                w += lower[axis]
+                w *= dif[axis]
+                o += w
+            o += centre
+            if network is not None:
+                o += r
 
 
 def step3d(
@@ -89,25 +142,34 @@ def step3d(
     dt: float,
     override_stability: bool = False,
     _report: Stability | None = None,
+    out: Field | None = None,
+    slabs: list[tuple[int, int]] | None = None,
+    pool: Executor | None = None,
 ) -> Field:
-    """One explicit step at time t on field.grid; returns a new Field, boundary re-zeroed.
+    """One explicit step at time t on field.grid; returns the new Field.
 
     network=None means pure transport.  Chemistry is evaluated on the
-    previous-step state, simultaneously with transport.
+    previous-step state, simultaneously with transport.  The new state goes
+    to the interior of out, whose boundary nodes are left as they are, or
+    else to a new Field with a zero boundary.  slabs (from x_slabs; the
+    whole interior by default) run one after another, or, when pool is
+    given, all but the first in pool's threads while this thread steps the
+    first.
     """
     rep = _report if _report is not None else stability3d(params, field.grid, dt)
     rep.require(override_stability, "combined", "cfl", "alpha")
     adv, dif = rep.coefficients
-    old = field.values
-    new = old.copy()
-    incr = np.empty(field.grid.shape)
-    for s in range(field.species_count):
-        _transport_increment(old[s], adv, dif, incr)
-        new[s, 1:-1, 1:-1, 1:-1] += incr[1:-1, 1:-1, 1:-1]
-    if network is not None:
-        rates = reaction_rates_field(network, t, old)
-        new[:, 1:-1, 1:-1, 1:-1] += dt * rates[:, 1:-1, 1:-1, 1:-1]
-    return zero_dirichlet(Field(field.grid, new))
+    if out is None:
+        out = Field.zeros(field.grid, field.species_count)
+
+    def advance(bounds: tuple[int, int]) -> None:
+        _advance_slab(field.values, out.values, *bounds, adv, dif, network, t, dt)
+
+    first, *rest = slabs or [(1, field.grid.shape[0] - 1)]
+    others = map(advance, rest) if pool is None else pool.map(advance, rest)
+    advance(first)
+    list(others)
+    return out
 
 
 def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) -> float:
@@ -153,13 +215,16 @@ def run3d(
     trajectory_stride: int = 10,
     override_stability: bool = False,
     alpha: float = DEFAULT_ALPHA,
+    threads: int = 1,
 ) -> SnapshotSeries:
     """Run the 3-D scheme on initial.grid and return its SnapshotSeries.
 
     Snapshots keep the full field; series.slices views the requested 2-D
     slice of each.  When trajectory_cells is given (a list of interior
     (i, j, k) tuples), the per-species state of those cells is appended to
-    series.trajectories every trajectory_stride steps.
+    series.trajectories every trajectory_stride steps.  Each step runs as
+    x_slabs(nx, threads) slabs in a thread pool that lives for the run; the
+    result does not depend on threads.
     """
     grid = initial.grid
     if slice_axis not in ("x", "y", "z"):
@@ -186,9 +251,28 @@ def run3d(
         if step % log.stride == 0:
             log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
 
-    def advance(field: Field, t: float) -> Field:
-        return step3d(field, params, network, t, dt,
-                      override_stability=override_stability, _report=report)
+    # Two buffers swap each step.  Their boundary nodes are never written:
+    # the spare starts at zero, and the copy of initial, whose boundary the
+    # first step still reads, is zeroed once when it becomes the spare.
+    spare = [Field.zeros(grid, initial.species_count)]
+    slabs = x_slabs(grid.shape[0], threads)
 
-    return run_steps(initial, advance, dt, t_end, series,
-                     sample=sample if log.cells else None)
+    def advance(field: Field, t: float) -> Field:
+        new = step3d(field, params, network, t, dt,
+                     override_stability=override_stability, _report=report,
+                     out=spare.pop(), slabs=slabs, pool=pool)
+        spare.append(field if t > 0 else zero_dirichlet(field))
+        return new
+
+    report.require(override_stability, "combined", "cfl", "alpha")
+    pool = None
+    if len(slabs) > 1:
+        # imported here, so that a run on one thread skips its time and memory
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(len(slabs) - 1)
+    try:
+        return run_steps(initial, advance, dt, t_end, series,
+                         sample=sample if log.cells else None)
+    finally:
+        if pool is not None:
+            pool.shutdown()

@@ -412,6 +412,36 @@ def test_threads_flag_never_changes_bytes(tmp_path):
     assert len(outs[0]) >= 3  # slices plus trajectories
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_threads_below_one_exits_1_before_manifest(tmp_path, capsys, threads):
+    cfg_path = write_cfg(tmp_path, SIM3D_SMALL)
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out-dir", str(out), "--threads", str(threads)]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert execute(parse_config(cfg_path), out, threads=threads) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    dict(COMPARE_SMALL, mode="simulate2d", grid={"nx": 11, "ny": 11, "Lx": 1.0, "Ly": 1.0},
+         time={"dt": 1.0e12, "t_end": 1.0}),
+    dict(SIM3D_SMALL, time={"dt": 1.0e12, "t_end": 1.0}),
+], ids=["simulate2d", "simulate3d"])
+def test_zero_step_run_is_stability_gated(tmp_path, payload):
+    # t_end/dt is 1e-12, so the run takes no step; the gate still decides
+    cfg_path = write_cfg(tmp_path, payload)
+    out = tmp_path / "gated"
+    assert main([str(cfg_path), "--out-dir", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["stability"]["ok"] is False
+    forced = tmp_path / "forced"
+    assert main([str(cfg_path), "--out-dir", str(forced), "--override-stability"]) == 0
+    assert json.loads((forced / "manifest.json").read_text())["status"] == "ok"
+
+
 def test_simulate2d_writes_snapshots(tmp_path):
     payload = dict(COMPARE_SMALL, mode="simulate2d")
     cfg = parse_config(write_cfg(tmp_path, payload))

@@ -1,4 +1,8 @@
+import dataclasses
+import os
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,12 +13,14 @@ from adr_lab import (
     DivergenceError,
     Field,
     Grid,
+    PointSource,
     ReactionNetwork,
     TransportParams,
     run3d,
     stability3d,
     step3d,
 )
+from adr_lab import solver3d
 from oracles import bundled_ozone, reaction_rates, trajectory_points
 
 NOON = 12 * 3600.0
@@ -102,6 +108,104 @@ def test_step_matches_naive_loop_bitwise_transport():
     expected = naive_step(values, params.u, params.k,
                           grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 13, 101])
+@pytest.mark.parametrize("threads", [1, 2, 3, 10**6])
+def test_x_slabs_cover_each_interior_plane_once(monkeypatch, nx, threads):
+    for cpus in (None, 8):  # the CPUs this process may use, then 8
+        if cpus is None:
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            monkeypatch.setattr(solver3d, "_usable_cpus", lambda: cpus)
+        slabs = solver3d.x_slabs(nx, threads)
+        assert [x for lo, hi in slabs for x in range(lo, hi)] == list(range(1, nx - 1))
+        assert all(hi > lo for lo, hi in slabs)
+        assert len(slabs) == min(threads, cpus, nx - 2)
+
+
+# 1, 2 and 3 slabs of the 11 interior x-planes of a 13-node axis
+PARTITIONS = [[(1, 12)], [(1, 6), (6, 12)], [(1, 4), (4, 8), (8, 12)]]
+
+
+def _slab_edge_network(ny, nz):
+    """The bundled network with an NO source on every slab-edge x-plane of PARTITIONS.
+
+    k2 is a power of two, so the oracle's h*(c0*c1) and the field's
+    (h*c0)*c1 are the same number and the chemistry agrees bit for bit.
+    """
+    edges = sorted({x for slabs in PARTITIONS for lo, hi in slabs for x in (lo, hi - 1)})
+    sources = tuple(PointSource(0, (x, 1 + x % (ny - 2), 1 + x % (nz - 2)), 5.0)
+                    for x in edges)
+    return dataclasses.replace(bundled_ozone(k2=2.0**-10), sources=sources)
+
+
+@pytest.mark.parametrize("slabs", PARTITIONS, ids=["1-slab", "2-slabs", "3-slabs"])
+def test_step_slabs_match_naive_loop_bitwise_with_chemistry(slabs):
+    grid = Grid((13, 11, 9), (13.0, 11.0, 9.0))
+    params = TransportParams(u=(0.8, 0.3, 0.5), k=(0.1, 0.2, 0.05))
+    net = _slab_edge_network(11, 9)
+    dt = 0.2
+    values = np.random.default_rng(17).uniform(0.0, 2.0, size=(3, *grid.shape))
+    expected = naive_step(values, params.u, params.k, grid.spacing, dt,
+                          network=net, t=NOON)
+    with ThreadPoolExecutor(len(slabs)) as pool:
+        for executor in (None, pool):
+            stepped = step3d(Field(grid, values.copy()), params, net, NOON, dt,
+                             slabs=slabs, pool=executor)
+            np.testing.assert_array_equal(stepped.values, expected)
+
+
+def test_many_slabs_under_fast_thread_switching():
+    # more slab threads than cores, switching every microsecond: the slabs
+    # write disjoint planes of one buffer, so no update may be lost
+    grid = Grid((26, 11, 9), (25.0, 10.0, 8.0))
+    params = TransportParams(u=(0.8, 0.3, 0.5), k=(0.1, 0.2, 0.05))
+    net = _slab_edge_network(11, 9)
+    values = np.random.default_rng(23).uniform(0.0, 2.0, size=(3, *grid.shape))
+    field = Field(grid, values)
+    expected = step3d(field, params, net, NOON, 0.2).values
+    slabs = [(x, x + 2) for x in range(1, 25, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(slabs) - 1) as pool:
+            for _ in range(20):
+                stepped = step3d(field, params, net, NOON, 0.2, slabs=slabs, pool=pool)
+                np.testing.assert_array_equal(stepped.values, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_equals_repeated_steps_from_nonzero_boundary():
+    # the first step reads the initial field's boundary; the buffers that
+    # run3d swaps must give every later step a zero boundary
+    grid = Grid((7, 6, 5), (6.0, 5.0, 4.0))
+    params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05))
+    init = Field(grid, np.random.default_rng(29).uniform(0.5, 1.0, size=(2, 7, 6, 5)))
+    series = run3d(init, params, None, 0.5, 2.0, [2.0])
+    field = init
+    for n in range(4):
+        field = step3d(field, params, None, n * 0.5, 0.5)
+    np.testing.assert_array_equal(series.fields[-1].values, field.values)
+
+
+def test_run_outputs_equal_across_threads(monkeypatch):
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    grid = Grid((12, 7, 6), (11.0, 6.0, 5.0))
+    params = TransportParams(u=(0.1, 0.05, 0.1), k=(0.01, 0.02, 0.01))
+    net = bundled_ozone(k2=1e-4, no_emission=1.0, cell=(6, 3, 3))
+    init = Field.zeros(grid, 3)
+    init.values[:, 5, 3, 2] = [1.0, 2.0, 3.0]
+    runs = [run3d(init, params, net, 0.5, 10.0, [0.0, 5.0, 10.0],
+                  slice_axis="x", slice_index=6,
+                  trajectory_cells=[(1, 1, 1), (6, 3, 3), (10, 5, 4)],
+                  trajectory_stride=3, threads=threads)
+            for threads in (1, 2)]
+    one, two = ([p.tobytes() for p in r.slices] + [list(r.trajectories.rows())]
+                for r in runs)
+    assert one == two
+    assert len(runs[0].trajectories.times) == 7
 
 
 def test_step_matches_naive_loop_with_chemistry():
@@ -226,6 +330,28 @@ def test_run_detects_divergence_with_location():
     step, species, *cell = map(int, where.groups())
     assert step == exc.value.step and species == 0
     assert all(1 <= c <= 3 for c in cell)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_location_with_slabs(monkeypatch):
+    # the same forced divergence as above, in the second species, stepped as
+    # one slab and as three one-plane slabs in a pool
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    grid = _box(5, 4.0)
+    params = TransportParams(u=(0.0, 0.0, 0.0), k=(1.0, 1.0, 1.0))
+    init = Field.zeros(grid, 2)
+    init.values[1, 2, 2, 2] = 1e280
+    messages = []
+    for threads in (1, 3):
+        with pytest.raises(DivergenceError) as exc:
+            run3d(init, params, None, 100.0, 10000.0, [10000.0],
+                  override_stability=True, threads=threads)
+        where = re.search(r"after step (\d+) .* at species 1, cell \((\d), (\d), (\d)\)",
+                          str(exc.value))
+        assert where and int(where.group(1)) == exc.value.step >= 1, str(exc.value)
+        assert all(1 <= int(c) <= 3 for c in where.groups()[1:])
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
