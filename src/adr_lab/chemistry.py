@@ -34,8 +34,6 @@ DAY_START_HOUR = 4.0
 DAY_END_HOUR = 20.0
 K1_DAY_SCALE = 1e-5
 K1_NIGHT = 1e-40
-# planes of a field block whose rates are computed together
-CHUNK_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def reaction_rates_field(
     None); sources registered at cells inside the block are applied there.
     The rates go to out when given, else to a new array, which is returned.
     Agrees with evaluating R_j cell by cell (tested); whole arrays because
-    the 3-D solver evaluates chemistry over ~1e6 cells per step.  An
+    the 3-D solver evaluates chemistry on blocks of ~4e4 cells.  An
     overflow is left in the result: the time loop's finite check reports it
     with its step, species and cell.
     """
@@ -200,11 +198,7 @@ def reaction_rates_field(
     sto = network.stoichiometry
     out[~sto.any(axis=1)] = 0.0  # species that no reaction changes
     block = conc.shape[1:]
-    g = np.empty((min(CHUNK_PLANES, block[0]),) + block[1:])
-    # in chunks along the first axis, so that g stays in cache while it is added
-    for a in range(0, block[0], CHUNK_PLANES):
-        c, o = conc[:, a:a + CHUNK_PLANES], out[:, a:a + CHUNK_PLANES]
-        _add_rates(network, h, c, o, g[:c.shape[1]])
+    _add_rates(network, h, conc, out, np.empty(block))
     origin = offset or (0,) * len(block)
     for src in network.sources:
         local = tuple(i - first for i, first in zip(src.cell, origin))

@@ -10,8 +10,8 @@ trajectories) combined with --config.  Every run writes a manifest.json
 (created before the first snapshot, finalized at exit, present even for
 failed runs) plus mode-specific CSV artifacts.  All outputs are written
 atomically (temp file + rename) and are bit-reproducible: --threads N steps
-each 3-D step as up to N x-slabs in a thread pool, and the outputs are
-bit-identical for every N.
+the x-plane blocks of each 3-D step on up to N threads of a pool, and the
+outputs are bit-identical for every N.
 
 Exit codes: 0 success, 1 validation error, 2 numeric divergence,
 3 stability rejection.
@@ -438,7 +438,7 @@ def _initial_field(cfg: RunConfig) -> Field:
 def _simulate(cfg: RunConfig, manifest: Manifest, override: bool, threads: int):
     """Run the scheme of the grid's dimension from the configured initial field.
 
-    threads splits each 3-D step into x-slabs.  Records the stability report
+    threads steps the x-plane blocks of each 3-D step in parallel.  Records the stability report
     in the manifest and returns the SnapshotSeries.
     """
     initial = _initial_field(cfg)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,13 +35,14 @@ from .snapshots import SnapshotSeries, Stability, run_steps
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-__all__ = ["stability3d", "step3d", "run3d", "x_slabs"]
+__all__ = ["stability3d", "step3d", "run3d", "x_blocks", "step_threads"]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.9
-# x-planes per tile of a slab, so that a tile's operands stay in a core's L2
-TILE_PLANES = 4
+# x-planes per block: one unit of a step's work and one chemistry call, small
+# enough that the block's rates and operands stay in a core's L2
+BLOCK_PLANES = 4
 
 
 def stability3d(
@@ -75,15 +77,19 @@ def stability3d(
     return Stability("upwind-3d", numbers, violated, (courant, r))
 
 
-def x_slabs(nx: int, threads: int) -> list[tuple[int, int]]:
-    """Split the interior x-planes 1..nx-2 into contiguous [lo, hi) slabs.
+def x_blocks(nx: int) -> list[tuple[int, int]]:
+    """Split the interior x-planes 1..nx-2 into [lo, hi) blocks of BLOCK_PLANES planes.
 
-    There are min(threads, usable CPUs, nx-2) slabs, at least one, whose
-    sizes differ by at most one plane.
+    The last block takes what is left.  The blocks do not depend on the
+    thread count, so neither do the numbers computed in them.
     """
-    count = max(1, min(threads, _usable_cpus(), nx - 2))
-    bounds = [1 + (nx - 2) * n // count for n in range(count + 1)]
+    bounds = list(range(1, nx - 1, BLOCK_PLANES)) + [nx - 1]
     return list(zip(bounds, bounds[1:]))
+
+
+def step_threads(nx: int, threads: int) -> int:
+    """Threads for the steps of an nx-plane grid: min(threads, usable CPUs, blocks), at least 1."""
+    return max(1, min(threads, _usable_cpus(), len(x_blocks(nx))))
 
 
 def _usable_cpus() -> int:
@@ -93,28 +99,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _advance_slab(old: np.ndarray, new: np.ndarray, lo: int, hi: int, adv, dif,
-                  network: ReactionNetwork | None, t: float, dt: float) -> None:
-    """Write the stepped interior of x-planes [lo, hi) of old into new.
+def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
+                    network: ReactionNetwork | None, t: float, dt: float) -> None:
+    """Step the x-plane blocks [lo, hi) taken from the left of todo until it is empty.
 
-    The slab's chemistry lands in new first.  Each tile of TILE_PLANES planes
-    then takes dt*rates out, writes the transport increment in its place and
-    adds the old state and dt*rates, grouped as in the formula of the module
-    docstring read left to right, so every partition gives the same bytes.
+    A block's stepped interior goes from old to new.  Its chemistry lands in
+    new first, and each species then takes dt*rates out, writes the
+    transport increment in its place and adds the old state and dt*rates,
+    grouped as in the formula of the module docstring read left to right,
+    so any blocks give the same bytes.
     """
-    inner = (slice(None), slice(lo, hi), slice(1, -1), slice(1, -1))
-    if network is not None:
-        reaction_rates_field(network, t, old[inner], out=new[inner], offset=(lo, 1, 1))
-    shape = (min(TILE_PLANES, hi - lo), old.shape[2] - 2, old.shape[3] - 2)
+    shape = (BLOCK_PLANES, old.shape[2] - 2, old.shape[3] - 2)
     scratch, twice, rates = np.empty(shape), np.empty(shape), np.empty(shape)
-    for a in range(lo, hi, TILE_PLANES):
-        b = min(a + TILE_PLANES, hi)
-        w, c2, r = scratch[:b - a], twice[:b - a], rates[:b - a]
+    while True:
+        try:
+            lo, hi = todo.popleft()
+        except IndexError:
+            return
+        inner = (slice(None), slice(lo, hi), slice(1, -1), slice(1, -1))
+        if network is not None:
+            reaction_rates_field(network, t, old[inner], out=new[inner], offset=(lo, 1, 1))
+        w, c2, r = scratch[:hi - lo], twice[:hi - lo], rates[:hi - lo]
         for s in range(old.shape[0]):
-            c, o = old[s], new[s, a:b, 1:-1, 1:-1]
-            centre = c[a:b, 1:-1, 1:-1]
-            lower = (c[a - 1:b - 1, 1:-1, 1:-1], c[a:b, :-2, 1:-1], c[a:b, 1:-1, :-2])
-            upper = (c[a + 1:b + 1, 1:-1, 1:-1], c[a:b, 2:, 1:-1], c[a:b, 1:-1, 2:])
+            c, o = old[s], new[s, lo:hi, 1:-1, 1:-1]
+            centre = c[lo:hi, 1:-1, 1:-1]
+            lower = (c[lo - 1:hi - 1, 1:-1, 1:-1], c[lo:hi, :-2, 1:-1], c[lo:hi, 1:-1, :-2])
+            upper = (c[lo + 1:hi + 1, 1:-1, 1:-1], c[lo:hi, 2:, 1:-1], c[lo:hi, 1:-1, 2:])
             if network is not None:
                 np.multiply(o, dt, out=r)
             np.subtract(centre, lower[0], out=o)
@@ -143,32 +153,34 @@ def step3d(
     override_stability: bool = False,
     _report: Stability | None = None,
     out: Field | None = None,
-    slabs: list[tuple[int, int]] | None = None,
     pool: Executor | None = None,
+    threads: int = 1,
 ) -> Field:
     """One explicit step at time t on field.grid; returns the new Field.
 
     network=None means pure transport.  Chemistry is evaluated on the
     previous-step state, simultaneously with transport.  The new state goes
     to the interior of out, whose boundary nodes are left as they are, or
-    else to a new Field with a zero boundary.  slabs (from x_slabs; the
-    whole interior by default) run one after another, or, when pool is
-    given, all but the first in pool's threads while this thread steps the
-    first.
+    else to a new Field with a zero boundary.  The x_blocks of the interior
+    wait in one queue, which this thread empties together with threads - 1
+    tasks on pool when pool is given: each thread takes the next block when
+    it is free, so a thread that the machine slows down takes fewer blocks
+    instead of holding up the step.
     """
     rep = _report if _report is not None else stability3d(params, field.grid, dt)
     rep.require(override_stability, "combined", "cfl", "alpha")
     adv, dif = rep.coefficients
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
+    todo = deque(x_blocks(field.grid.shape[0]))
 
-    def advance(bounds: tuple[int, int]) -> None:
-        _advance_slab(field.values, out.values, *bounds, adv, dif, network, t, dt)
+    def drain() -> None:
+        _advance_blocks(field.values, out.values, todo, adv, dif, network, t, dt)
 
-    first, *rest = slabs or [(1, field.grid.shape[0] - 1)]
-    others = map(advance, rest) if pool is None else pool.map(advance, rest)
-    advance(first)
-    list(others)
+    helpers = [pool.submit(drain) for _ in range(threads - 1)] if pool is not None else []
+    drain()
+    for helper in helpers:
+        helper.result()
     return out
 
 
@@ -222,9 +234,10 @@ def run3d(
     Snapshots keep the full field; series.slices views the requested 2-D
     slice of each.  When trajectory_cells is given (a list of interior
     (i, j, k) tuples), the per-species state of those cells is appended to
-    series.trajectories every trajectory_stride steps.  Each step runs as
-    x_slabs(nx, threads) slabs in a thread pool that lives for the run; the
-    result does not depend on threads.
+    series.trajectories every trajectory_stride steps.  Each step runs its
+    x_blocks on step_threads(nx, threads) threads, this one and the rest
+    from a pool that lives for the run; the result does not depend on
+    threads.
     """
     grid = initial.grid
     if slice_axis not in ("x", "y", "z"):
@@ -255,21 +268,21 @@ def run3d(
     # the spare starts at zero, and the copy of initial, whose boundary the
     # first step still reads, is zeroed once when it becomes the spare.
     spare = [Field.zeros(grid, initial.species_count)]
-    slabs = x_slabs(grid.shape[0], threads)
+    workers = step_threads(grid.shape[0], threads)
 
     def advance(field: Field, t: float) -> Field:
         new = step3d(field, params, network, t, dt,
                      override_stability=override_stability, _report=report,
-                     out=spare.pop(), slabs=slabs, pool=pool)
+                     out=spare.pop(), pool=pool, threads=workers)
         spare.append(field if t > 0 else zero_dirichlet(field))
         return new
 
     report.require(override_stability, "combined", "cfl", "alpha")
     pool = None
-    if len(slabs) > 1:
+    if workers > 1:
         # imported here, so that a run on one thread skips its time and memory
         from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(len(slabs) - 1)
+        pool = ThreadPoolExecutor(workers - 1)
     try:
         return run_steps(initial, advance, dt, t_end, series,
                          sample=sample if log.cells else None)

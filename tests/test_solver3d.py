@@ -111,67 +111,80 @@ def test_step_matches_naive_loop_bitwise_transport():
 
 
 @pytest.mark.parametrize("nx", [3, 4, 13, 101])
+@pytest.mark.parametrize("planes", [1, 4, 200])
+def test_x_blocks_cover_each_interior_plane_once(monkeypatch, nx, planes):
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", planes)
+    blocks = solver3d.x_blocks(nx)
+    assert [x for lo, hi in blocks for x in range(lo, hi)] == list(range(1, nx - 1))
+    assert all(0 < hi - lo <= planes for lo, hi in blocks)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 13, 101])
 @pytest.mark.parametrize("threads", [1, 2, 3, 10**6])
-def test_x_slabs_cover_each_interior_plane_once(monkeypatch, nx, threads):
+def test_step_threads_capped_by_cpus_and_planes(monkeypatch, nx, threads):
     for cpus in (None, 8):  # the CPUs this process may use, then 8
         if cpus is None:
             cpus = len(os.sched_getaffinity(0))
         else:
             monkeypatch.setattr(solver3d, "_usable_cpus", lambda: cpus)
-        slabs = solver3d.x_slabs(nx, threads)
-        assert [x for lo, hi in slabs for x in range(lo, hi)] == list(range(1, nx - 1))
-        assert all(hi > lo for lo, hi in slabs)
-        assert len(slabs) == min(threads, cpus, nx - 2)
+        count = solver3d.step_threads(nx, threads)
+        assert 1 <= count <= min(threads, cpus, nx - 2)
+        assert count == min(threads, cpus, len(solver3d.x_blocks(nx)))
 
 
-# 1, 2 and 3 slabs of the 11 interior x-planes of a 13-node axis
-PARTITIONS = [[(1, 12)], [(1, 6), (6, 12)], [(1, 4), (4, 8), (8, 12)]]
+# blocks of 1, 4 and 11 planes of the 11 interior x-planes of a 13-node axis
+BLOCK_SIZES = [1, 4, 11]
 
 
-def _slab_edge_network(ny, nz):
-    """The bundled network with an NO source on every slab-edge x-plane of PARTITIONS.
+def _block_edge_network(ny, nz):
+    """The bundled network with an NO source on every block-edge x-plane of BLOCK_SIZES.
 
     k2 is a power of two, so the oracle's h*(c0*c1) and the field's
     (h*c0)*c1 are the same number and the chemistry agrees bit for bit.
     """
-    edges = sorted({x for slabs in PARTITIONS for lo, hi in slabs for x in (lo, hi - 1)})
+    edges = sorted({x for planes in BLOCK_SIZES for lo in range(1, 12, planes)
+                    for x in (lo, min(lo + planes, 12) - 1)})
     sources = tuple(PointSource(0, (x, 1 + x % (ny - 2), 1 + x % (nz - 2)), 5.0)
                     for x in edges)
     return dataclasses.replace(bundled_ozone(k2=2.0**-10), sources=sources)
 
 
-@pytest.mark.parametrize("slabs", PARTITIONS, ids=["1-slab", "2-slabs", "3-slabs"])
-def test_step_slabs_match_naive_loop_bitwise_with_chemistry(slabs):
+@pytest.mark.parametrize("planes", BLOCK_SIZES)
+def test_step_blocks_match_naive_loop_bitwise_with_chemistry(monkeypatch, planes):
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", planes)
     grid = Grid((13, 11, 9), (13.0, 11.0, 9.0))
     params = TransportParams(u=(0.8, 0.3, 0.5), k=(0.1, 0.2, 0.05))
-    net = _slab_edge_network(11, 9)
+    net = _block_edge_network(11, 9)
     dt = 0.2
     values = np.random.default_rng(17).uniform(0.0, 2.0, size=(3, *grid.shape))
     expected = naive_step(values, params.u, params.k, grid.spacing, dt,
                           network=net, t=NOON)
-    with ThreadPoolExecutor(len(slabs)) as pool:
-        for executor in (None, pool):
-            stepped = step3d(Field(grid, values.copy()), params, net, NOON, dt,
-                             slabs=slabs, pool=executor)
-            np.testing.assert_array_equal(stepped.values, expected)
+    stepped = [step3d(Field(grid, values.copy()), params, net, NOON, dt)]
+    for workers in (1, 2, 3):
+        with ThreadPoolExecutor(workers) as pool:
+            stepped.append(step3d(Field(grid, values.copy()), params, net, NOON, dt,
+                                  pool=pool, threads=workers + 1))
+    for field in stepped:
+        np.testing.assert_array_equal(field.values, expected)
 
 
-def test_many_slabs_under_fast_thread_switching():
-    # more slab threads than cores, switching every microsecond: the slabs
+def test_many_blocks_under_fast_thread_switching(monkeypatch):
+    # more threads than cores, switching every microsecond: the blocks
     # write disjoint planes of one buffer, so no update may be lost
     grid = Grid((26, 11, 9), (25.0, 10.0, 8.0))
     params = TransportParams(u=(0.8, 0.3, 0.5), k=(0.1, 0.2, 0.05))
-    net = _slab_edge_network(11, 9)
+    net = _block_edge_network(11, 9)
     values = np.random.default_rng(23).uniform(0.0, 2.0, size=(3, *grid.shape))
     field = Field(grid, values)
     expected = step3d(field, params, net, NOON, 0.2).values
-    slabs = [(x, x + 2) for x in range(1, 25, 2)]
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 2)
+    threads = len(solver3d.x_blocks(26))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(len(slabs) - 1) as pool:
+        with ThreadPoolExecutor(threads - 1) as pool:
             for _ in range(20):
-                stepped = step3d(field, params, net, NOON, 0.2, slabs=slabs, pool=pool)
+                stepped = step3d(field, params, net, NOON, 0.2, pool=pool, threads=threads)
                 np.testing.assert_array_equal(stepped.values, expected)
     finally:
         sys.setswitchinterval(interval)
@@ -333,10 +346,11 @@ def test_run_detects_divergence_with_location():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_location_with_slabs(monkeypatch):
+def test_divergence_location_with_blocks(monkeypatch):
     # the same forced divergence as above, in the second species, stepped as
-    # one slab and as three one-plane slabs in a pool
+    # three one-plane blocks on one thread and in a pool of three
     monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 1)
     grid = _box(5, 4.0)
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(1.0, 1.0, 1.0))
     init = Field.zeros(grid, 2)
