@@ -189,7 +189,7 @@ def reaction_rates_field(
     None); sources registered at cells inside the block are applied there.
     The rates go to out when given, else to a new array, which is returned.
     Agrees with evaluating R_j cell by cell (tested); whole arrays because
-    the 3-D solver evaluates chemistry on blocks of ~4e4 cells.  An
+    the 3-D solver evaluates chemistry on blocks of ~8e4 cells.  An
     overflow is left in the result: the time loop's finite check reports it
     with its step, species and cell.
     """

@@ -40,9 +40,11 @@ __all__ = ["stability3d", "step3d", "run3d", "x_blocks", "step_threads"]
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.9
-# x-planes per block: one unit of a step's work and one chemistry call, small
-# enough that the block's rates and operands stay in a core's L2
-BLOCK_PLANES = 4
+# x-planes per block, one unit of a step's work.  Fewer, larger blocks mean
+# fewer numpy calls, so two threads wait less often for each other's GIL
+# (each wait idles a CPU); smaller ones leave less for the last thread to
+# finish alone at the end of a step.
+BLOCK_PLANES = 8
 
 
 def stability3d(
@@ -103,13 +105,13 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
                     network: ReactionNetwork | None, t: float, dt: float) -> None:
     """Step the x-plane blocks [lo, hi) taken from the left of todo until it is empty.
 
-    A block's stepped interior goes from old to new.  Its chemistry lands in
-    new first, and each species then takes dt*rates out, writes the
-    transport increment in its place and adds the old state and dt*rates,
-    grouped as in the formula of the module docstring read left to right,
-    so any blocks give the same bytes.
+    A block's stepped interior goes from old to new, all species at once.
+    Its chemistry lands in new first, and the block then takes dt*rates
+    out, writes the transport increment in its place and adds the old state
+    and dt*rates, grouped as in the formula of the module docstring read
+    left to right, so any blocks give the same bytes.
     """
-    shape = (BLOCK_PLANES, old.shape[2] - 2, old.shape[3] - 2)
+    shape = (old.shape[0], BLOCK_PLANES, old.shape[2] - 2, old.shape[3] - 2)
     scratch, twice, rates = np.empty(shape), np.empty(shape), np.empty(shape)
     while True:
         try:
@@ -119,29 +121,30 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
         inner = (slice(None), slice(lo, hi), slice(1, -1), slice(1, -1))
         if network is not None:
             reaction_rates_field(network, t, old[inner], out=new[inner], offset=(lo, 1, 1))
-        w, c2, r = scratch[:hi - lo], twice[:hi - lo], rates[:hi - lo]
-        for s in range(old.shape[0]):
-            c, o = old[s], new[s, lo:hi, 1:-1, 1:-1]
-            centre = c[lo:hi, 1:-1, 1:-1]
-            lower = (c[lo - 1:hi - 1, 1:-1, 1:-1], c[lo:hi, :-2, 1:-1], c[lo:hi, 1:-1, :-2])
-            upper = (c[lo + 1:hi + 1, 1:-1, 1:-1], c[lo:hi, 2:, 1:-1], c[lo:hi, 1:-1, 2:])
-            if network is not None:
-                np.multiply(o, dt, out=r)
-            np.subtract(centre, lower[0], out=o)
-            o *= -adv[0]
-            for axis in (1, 2):
-                np.subtract(centre, lower[axis], out=w)
-                w *= adv[axis]
-                o -= w
-            np.multiply(centre, 2.0, out=c2)
-            for axis in range(3):
-                np.subtract(upper[axis], c2, out=w)
-                w += lower[axis]
-                w *= dif[axis]
-                o += w
-            o += centre
-            if network is not None:
-                o += r
+        w, c2, r = scratch[:, :hi - lo], twice[:, :hi - lo], rates[:, :hi - lo]
+        c, o = old, new[inner]
+        centre = c[inner]
+        lower = (c[:, lo - 1:hi - 1, 1:-1, 1:-1], c[:, lo:hi, :-2, 1:-1],
+                 c[:, lo:hi, 1:-1, :-2])
+        upper = (c[:, lo + 1:hi + 1, 1:-1, 1:-1], c[:, lo:hi, 2:, 1:-1],
+                 c[:, lo:hi, 1:-1, 2:])
+        if network is not None:
+            np.multiply(o, dt, out=r)
+        np.subtract(centre, lower[0], out=o)
+        o *= -adv[0]
+        for axis in (1, 2):
+            np.subtract(centre, lower[axis], out=w)
+            w *= adv[axis]
+            o -= w
+        np.multiply(centre, 2.0, out=c2)
+        for axis in range(3):
+            np.subtract(upper[axis], c2, out=w)
+            w += lower[axis]
+            w *= dif[axis]
+            o += w
+        o += centre
+        if network is not None:
+            o += r
 
 
 def step3d(
