@@ -52,7 +52,7 @@ from .errors import AdrLabError, ConfigurationError
 from .grid import Field, Grid, TransportParams, sample_initial_2d, zero_dirichlet
 from .snapshots import step_count
 from .solver2d import run2d
-from .solver3d import DEFAULT_ALPHA, run3d
+from .solver3d import DEFAULT_ALPHA, run3d, step_threads
 
 CM3_PER_M3 = 1.0e6
 
@@ -399,7 +399,9 @@ class Manifest:
             "version": __version__,
             "config": config.raw,
             "mode": config.mode,
-            "threads": threads,
+            # the threads a step runs on: a 2-D step runs on one
+            "threads": step_threads(config.grid.shape[0], threads)
+            if config.grid.ndim == 3 else 1,
             "unit_factor": config.unit_factor,
             "status": "running",
         }
@@ -501,7 +503,7 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     if series.trajectories.cells:
         write_csv(out / "trajectories.csv",
                   ["t", "i", "j", "k", *cfg.species], series.trajectories.rows())
-    updates = cfg.grid.num_cells * len(cfg.species) * max(step_count(cfg.t_end, cfg.dt), 1)
+    updates = cfg.grid.num_cells * len(cfg.species) * step_count(cfg.t_end, cfg.dt)
     ok, violation = positivity_check(series)
     manifest.finalize(
         "ok",

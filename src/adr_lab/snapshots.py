@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, StabilityError
-from .grid import Field
+from .grid import Field, zero_dirichlet
 
 if TYPE_CHECKING:
     from .diagnostics import TrajectoryLog
@@ -103,7 +103,11 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
               series: SnapshotSeries, sample=None) -> SnapshotSeries:
     """Step from t=0 to t_end, capturing the series' requested snapshots.
 
-    advance(field, t) returns the field one step after time t.
+    The loop owns two buffers, a copy of initial and one zero field, and
+    swaps them after each step: advance(old, new, t) fills the interior of
+    new with the state one step after time t.  Boundary nodes are never
+    written; the copy of initial, whose boundary the first step still
+    reads, is zeroed once when it first becomes the spare.
     sample(step, t, values), when given, sees the state at every step from
     0 to the last.  A non-finite value after a step raises DivergenceError
     naming the step, species and cell.
@@ -111,6 +115,7 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     pending = snapshot_steps(series.requested_times, dt, t_end)
     n_steps = step_count(t_end, dt)
     field = initial.copy()
+    spare = Field.zeros(initial.grid, initial.species_count)
     step = 0
     while True:
         t = step * dt
@@ -121,7 +126,10 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
             sample(step, t, field.values)
         if step >= n_steps:
             return series
-        field = advance(field, t)
+        advance(field, spare, t)
+        field, spare = spare, field
+        if step == 0:
+            zero_dirichlet(spare)
         step += 1
         if not np.isfinite(field.values).all():
             bad = np.argwhere(~np.isfinite(field.values))[0]

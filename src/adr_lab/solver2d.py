@@ -15,7 +15,8 @@ reads only the previous buffer, so results are independent of sweep order.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, TransportParams, zero_dirichlet
+from .grid import Field, Grid, TransportParams
+from .grid import zero_dirichlet  # noqa: F401 (patched by perfbench/tracing.py)
 from .snapshots import SnapshotSeries, Stability, run_steps
 
 __all__ = ["stability2d", "step2d", "run2d"]
@@ -54,25 +55,22 @@ def stability2d(params: TransportParams, grid: Grid, dt: float) -> Stability:
                      (c0, rx - px * rx, rx + px * rx, ry - py * ry, ry + py * ry))
 
 
-def step2d(
-    field: Field,
-    params: TransportParams,
-    dt: float,
-    override_stability: bool = False,
-    _report: Stability | None = None,
-) -> Field:
-    """One double-buffered step on field.grid; returns a new Field, boundary re-zeroed."""
-    rep = _report if _report is not None else stability2d(params, field.grid, dt)
-    rep.require(override_stability, "Rx", "Ry", "Px", "Py")
-    c0, xp, xm, yp, ym = rep.coefficients
+def step2d(field: Field, report: Stability, out: Field | None = None) -> Field:
+    """One double-buffered step of field with report's weights; returns the Field written.
+
+    The new state goes to the interior of out, whose boundary nodes are
+    left as they are, or else to a new Field with a zero boundary.
+    """
+    c0, xp, xm, yp, ym = report.coefficients
     old = field.values
-    new = old.copy()
-    new[:, 1:-1, 1:-1] = (
+    if out is None:
+        out = Field.zeros(field.grid, field.species_count)
+    out.values[:, 1:-1, 1:-1] = (
         c0 * old[:, 1:-1, 1:-1]
         + xp * old[:, 2:, 1:-1] + xm * old[:, :-2, 1:-1]
         + yp * old[:, 1:-1, 2:] + ym * old[:, 1:-1, :-2]
     )
-    return zero_dirichlet(Field(field.grid, new))
+    return out
 
 
 def run2d(
@@ -85,11 +83,7 @@ def run2d(
 ) -> SnapshotSeries:
     """Step initial.grid from t=0 to t_end, capturing snapshots at the requested times."""
     report = stability2d(params, initial.grid, dt)
-    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
-
-    def advance(field: Field, t: float) -> Field:
-        return step2d(field, params, dt, override_stability=override_stability,
-                      _report=report)
-
     report.require(override_stability, "Rx", "Ry", "Px", "Py")
-    return run_steps(initial, advance, dt, t_end, series)
+    series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
+    return run_steps(initial, lambda old, new, t: step2d(old, report, new),
+                     dt, t_end, series)

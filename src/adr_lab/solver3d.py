@@ -29,7 +29,8 @@ import numpy as np
 from .chemistry import ReactionNetwork, reaction_rates_field
 from .diagnostics import TrajectoryLog
 from .errors import ConfigurationError
-from .grid import Field, Grid, TransportParams, zero_dirichlet
+from .grid import Field, Grid, TransportParams
+from .grid import zero_dirichlet  # noqa: F401 (patched by perfbench/tracing.py)
 from .snapshots import SnapshotSeries, Stability, run_steps
 
 if TYPE_CHECKING:
@@ -149,17 +150,15 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
 
 def step3d(
     field: Field,
-    params: TransportParams,
+    report: Stability,
     network: ReactionNetwork | None,
     t: float,
     dt: float,
-    override_stability: bool = False,
-    _report: Stability | None = None,
     out: Field | None = None,
     pool: Executor | None = None,
     threads: int = 1,
 ) -> Field:
-    """One explicit step at time t on field.grid; returns the new Field.
+    """One explicit step at time t with report's weights; returns the Field written.
 
     network=None means pure transport.  Chemistry is evaluated on the
     previous-step state, simultaneously with transport.  The new state goes
@@ -170,9 +169,7 @@ def step3d(
     it is free, so a thread that the machine slows down takes fewer blocks
     instead of holding up the step.
     """
-    rep = _report if _report is not None else stability3d(params, field.grid, dt)
-    rep.require(override_stability, "combined", "cfl", "alpha")
-    adv, dif = rep.coefficients
+    adv, dif = report.coefficients
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
     todo = deque(x_blocks(field.grid.shape[0]))
@@ -267,18 +264,10 @@ def run3d(
         if step % log.stride == 0:
             log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
 
-    # Two buffers swap each step.  Their boundary nodes are never written:
-    # the spare starts at zero, and the copy of initial, whose boundary the
-    # first step still reads, is zeroed once when it becomes the spare.
-    spare = [Field.zeros(grid, initial.species_count)]
     workers = step_threads(grid.shape[0], threads)
 
-    def advance(field: Field, t: float) -> Field:
-        new = step3d(field, params, network, t, dt,
-                     override_stability=override_stability, _report=report,
-                     out=spare.pop(), pool=pool, threads=workers)
-        spare.append(field if t > 0 else zero_dirichlet(field))
-        return new
+    def advance(old: Field, new: Field, t: float) -> None:
+        step3d(old, report, network, t, dt, out=new, pool=pool, threads=workers)
 
     report.require(override_stability, "combined", "cfl", "alpha")
     pool = None

@@ -70,6 +70,48 @@ def eval_series(sol: SeriesSolution, t: float, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# finite-difference schemes
+
+
+def _sine_transform(values: np.ndarray, axis: int) -> np.ndarray:
+    """The orthonormal, symmetric sine transform of values along axis."""
+    n = values.shape[axis]
+    i = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+    return np.moveaxis(np.tensordot(s, values, axes=([1], [axis])), 0, axis)
+
+
+def exact_stencil(values: np.ndarray, c0: float, lower, upper, steps: int) -> np.ndarray:
+    """A constant stencil after `steps` steps from values, in closed form.
+
+    One step maps each interior node to c0*c[i] plus, along each axis a,
+    lower[a]*c[i-1] + upper[a]*c[i+1]; boundary nodes stay zero.  Along an
+    axis with m interior nodes this is tridiagonal Toeplitz.  Scaling node i
+    by rho**i, rho = sqrt(lower/upper), makes it symmetric with off-diagonal
+    sqrt(lower*upper), whose eigenvectors are sines and whose eigenvalues
+    are 2*sqrt(lower*upper)*cos(p*pi/(m+1)) (LeVeque, Finite Difference
+    Methods for Ordinary and Partial Differential Equations, SIAM 2007).
+    So c^n = W S(lambda^n * S(c^0 / W)), S the sine transform on every axis.
+    """
+    inner = (slice(1, -1),) * values.ndim
+    w, lam = np.ones(()), np.full((), c0)
+    for lo, up, n in zip(lower, upper, values.shape):
+        # i numbers the interior nodes, which are also the sine modes
+        i = np.arange(1, n - 1)
+        w = np.multiply.outer(w, np.sqrt(lo / up) ** i)
+        lam = np.add.outer(lam, 2 * np.sqrt(lo * up) * np.cos(i * np.pi / (n - 1)))
+    b = values[inner] / w
+    for axis in range(values.ndim):
+        b = _sine_transform(b, axis)
+    b *= lam**steps
+    for axis in range(values.ndim):
+        b = _sine_transform(b, axis)
+    out = np.zeros_like(values)
+    out[inner] = w * b
+    return out
+
+
+# ---------------------------------------------------------------------------
 # chemistry
 
 

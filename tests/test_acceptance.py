@@ -27,6 +27,7 @@ from adr_lab import (
     l2_norm,
     run3d,
     stability2d,
+    stability3d,
     step2d,
     step3d,
     zero_dirichlet,
@@ -198,14 +199,15 @@ def test_criterion_05_positivity_and_maximum_principle():
             2 * k / dx**2 + 2 * k / dy**2
         )
         params = TransportParams(u=(u, u), k=(k, k))
-        if not stability2d(params, grid, dt).ok:
+        rep = stability2d(params, grid, dt)
+        if not rep.ok:
             continue
         accepted += 1
         field = Field(grid, rng.uniform(0.0, 10.0, size=(1, nx, ny)))
         zero_dirichlet(field)
         m0 = field.values.max()
         for _ in range(5):
-            field = step2d(field, params, dt)
+            field = step2d(field, rep)
             assert field.values.min() >= 0.0, f"negative value, config {accepted}"
             assert field.values.max() <= m0 * (1 + 1e-14), \
                 f"max principle violated, config {accepted}"
@@ -222,8 +224,9 @@ def test_criterion_06_stoichiometric_conservation():
     s12 = field.values[0] + field.values[1]
     s23 = field.values[1] + field.values[2]
     dt = 1.0
+    rep = stability3d(params, grid, dt)
     for step in range(10_000):
-        field = step3d(field, params, net, step * dt, dt)
+        field = step3d(field, rep, net, step * dt, dt)
     interior = (slice(1, -1),) * 3
     np.testing.assert_allclose(
         (field.values[0] + field.values[1])[interior], s12[interior], rtol=1e-12

@@ -1,11 +1,16 @@
 """The benchmark's traced runs wrap package functions by module and name.
 
-perfbench/tracing.py lists those names in PATCH_POINTS; this test resolves
+perfbench/tracing.py lists those names in PATCH_POINTS; these tests resolve
 every entry without installing any wrapper, so renaming a function the
-benchmark patches fails here and not only in a traced benchmark run.
+benchmark patches fails here and not only in a traced benchmark run.  A
+tiny traced run of each workload also fails when a layer the workload
+expects records no calls.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,9 @@ import pytest
 
 from adr_lab import Field, Grid, TransportParams, run2d, run3d
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load_tracing():
@@ -47,3 +54,15 @@ def test_retained_bytes_reads_fields_and_slices_of_run_results():
     assert all(np.shares_memory(p, f.values) for p, f in zip(box.slices, box.fields))
     # two snapshots of two species: full fields plus one 5 x 7 y-plane each
     assert tracing._retained_bytes(box) == 2 * 2 * (5 * 6 * 7 + 5 * 7) * 8
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_traced_benchmark_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--scale", "tiny", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads([ln for ln in proc.stdout.splitlines() if ln.startswith("{")][-1])
+    assert result["correct"] is True, result

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from adr_lab import ConfigurationError, stability2d, stability3d
-from adr_lab import cli
+from adr_lab import cli, solver3d
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
 
 COMPARE_SMALL = {
@@ -410,6 +410,27 @@ def test_threads_flag_never_changes_bytes(tmp_path):
         outs.append(hash_outputs(out))
     assert outs[0] == outs[1]
     assert len(outs[0]) >= 3  # slices plus trajectories
+
+
+@pytest.mark.parametrize("payload, recorded", [
+    (SIM3D_SMALL, 1),  # 9 nodes: the 7 interior x-planes are one block
+    (_traj_default_lattice(), 2),  # 13 nodes: two blocks, two CPUs
+    (COMPARE_SMALL, 1),  # a 2-D step runs on one thread
+], ids=["simulate3d-one-block", "trajectories-two-blocks", "compare"])
+def test_manifest_records_threads_that_ran(tmp_path, monkeypatch, payload, recorded):
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert execute(parse_config(write_cfg(tmp_path, payload)), out, threads=4) == 0
+    assert json.loads((out / "manifest.json").read_text())["threads"] == recorded
+
+
+def test_zero_step_run_reports_zero_throughput(tmp_path):
+    payload = dict(SIM3D_SMALL, time={"dt": 1.0, "t_end": 0.0})
+    out = tmp_path / "out"
+    assert execute(parse_config(write_cfg(tmp_path, payload)), out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["snapshot_steps"] == [0]
+    assert manifest["cell_updates_per_second"] == 0.0
 
 
 @pytest.mark.parametrize("threads", [0, -5])

@@ -19,6 +19,7 @@ from adr_lab import (
 )
 from adr_lab.cli import bundled_config_path, parse_config
 from adr_lab.snapshots import snapshot_steps
+from oracles import exact_stencil
 
 
 def naive_step(values, u, k, dx, dy, dt):
@@ -41,36 +42,16 @@ def naive_step(values, u, k, dx, dy, dt):
     return out
 
 
-def _sine_matrix(n):
-    """The orthonormal, symmetric sine transform on n interior nodes."""
-    i = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
-
-
 def exact_centered(values, u, k, dx, dy, dt, steps):
     """The centred scheme after `steps` steps from (nx, ny) values, in closed form.
 
-    Along each axis the update is tridiagonal Toeplitz with weights xp on
-    c[i+1] and xm on c[i-1].  Scaling node i by rho**i, rho = sqrt(xm/xp),
-    makes it symmetric with off-diagonal sqrt(xm*xp), whose eigenvectors are
-    sines (LeVeque, Finite Difference Methods for Ordinary and Partial
-    Differential Equations, SIAM 2007).  So c^n = W S (lambda^n * b) S^T W
-    with b the sine transform of c^0 / W.
+    Along each axis the weight is xp on c[i+1] and xm on c[i-1]; see
+    exact_stencil.
     """
     rx, ry = k[0] * dt / dx**2, k[1] * dt / dy**2
     px, py = u[0] * dx / (2 * k[0]), u[1] * dy / (2 * k[1])
     xp, xm, yp, ym = rx - px * rx, rx + px * rx, ry - py * ry, ry + py * ry
-    # i and j number the interior nodes, which are also the sine modes
-    i, j = np.arange(1, values.shape[0] - 1), np.arange(1, values.shape[1] - 1)
-    sx, sy = _sine_matrix(len(i)), _sine_matrix(len(j))
-    w = np.outer(np.sqrt(xm / xp) ** i, np.sqrt(ym / yp) ** j)
-    lam = (1 - 2 * rx - 2 * ry
-           + 2 * np.sqrt(xm * xp) * np.cos(i * np.pi / (len(i) + 1))[:, None]
-           + 2 * np.sqrt(ym * yp) * np.cos(j * np.pi / (len(j) + 1))[None, :])
-    b = sx @ (values[1:-1, 1:-1] / w) @ sy
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1] = w * (sx @ (lam**steps * b) @ sy)
-    return out
+    return exact_stencil(values, 1 - 2 * rx - 2 * ry, (xm, ym), (xp, yp), steps)
 
 
 def _assert_run_matches_exact(init, params, dt, t_end, times):
@@ -178,7 +159,7 @@ def test_step_matches_naive_loop_bitwise():
     values = rng.uniform(0.0, 1.0, size=(2, 9, 8))
     values[:, 0, :] = values[:, -1, :] = values[:, :, 0] = values[:, :, -1] = 0.0
     field = Field(grid, values.copy())
-    stepped = step2d(field, params, dt)
+    stepped = step2d(field, stability2d(params, grid, dt))
     expected = naive_step(values, params.u, params.k, *grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
 
@@ -192,19 +173,22 @@ def test_step_is_double_buffered():
     values = np.zeros((1, 6, 6))
     values[0, 2, 2] = 1.0
     field = Field(grid, values.copy())
-    step2d(field, params, 1e-3)
+    step2d(field, stability2d(params, grid, 1e-3))
     np.testing.assert_array_equal(field.values, values)
 
 
-def test_unstable_step_raises_with_report():
-    grid = Grid((46, 46), (1.0, 1.0))
-    params = TransportParams(u=(5.0, 5.0), k=(0.5, 0.5))
-    field = Field.zeros(grid)
-    with pytest.raises(StabilityError) as exc:
-        step2d(field, params, 1e-2)
-    assert exc.value.report.violated == "1-2Rx-2Ry > 0"
-    # override runs the step anyway
-    step2d(field, params, 1e-2, override_stability=True)
+def test_step_into_out_writes_only_its_interior():
+    grid = Grid((7, 6), (1.0, 1.0))
+    rep = stability2d(TransportParams(u=(1.0, 2.0), k=(0.5, 0.4)), grid, 1e-2)
+    rng = np.random.default_rng(13)
+    field = Field(grid, rng.uniform(0.0, 1.0, size=(2, 7, 6)))
+    buf = Field(grid, rng.uniform(2.0, 3.0, size=(2, 7, 6)))
+    fresh = step2d(field, rep)
+    assert not fresh.values[:, [0, -1]].any() and not fresh.values[:, :, [0, -1]].any()
+    expected = buf.values.copy()
+    expected[:, 1:-1, 1:-1] = fresh.values[:, 1:-1, 1:-1]
+    assert step2d(field, rep, out=buf) is buf
+    np.testing.assert_array_equal(buf.values, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,14 +204,15 @@ def test_maximum_principle_random_stable_configs(seed):
     u = float(rng.uniform(0.0, 0.95)) * 2 * k / max(dx, dy)
     dt = float(rng.uniform(0.1, 0.95)) / (2 * k / dx**2 + 2 * k / dy**2)
     params = TransportParams(u=(u, u), k=(k, k))
-    assert stability2d(params, grid, dt).ok
+    rep = stability2d(params, grid, dt)
+    assert rep.ok
     values = rng.uniform(0.0, 10.0, size=(1, nx, ny))
     field = Field(grid, values)
     from adr_lab import zero_dirichlet
     zero_dirichlet(field)
     m0 = field.values.max()
     for _ in range(5):
-        field = step2d(field, params, dt)
+        field = step2d(field, rep)
         assert field.values.min() >= 0.0
         assert field.values.max() <= m0 * (1 + 1e-14)
 
@@ -276,8 +261,22 @@ def test_run_detects_divergence():
 def test_run_unstable_without_override_raises():
     grid = Grid((12, 12), (1.0, 1.0))
     params = TransportParams(u=(0.0, 0.0), k=(0.5, 0.5))
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError) as exc:
         run2d(Field.zeros(grid), params, 1.0, 10.0, [10.0])
+    assert exc.value.report.violated == "1-2Rx-2Ry > 0"
+
+
+def test_run_equals_repeated_steps_from_nonzero_boundary():
+    # the first step reads the initial field's boundary; the buffers that
+    # run_steps swaps must give every later step a zero boundary
+    grid = Grid((7, 6), (6.0, 5.0))
+    params = TransportParams(u=(0.3, 0.2), k=(0.2, 0.2))
+    init = Field(grid, np.random.default_rng(31).uniform(0.5, 1.0, size=(2, 7, 6)))
+    series = run2d(init, params, 0.5, 2.0, [2.0])
+    rep, field = stability2d(params, grid, 0.5), init
+    for _ in range(4):
+        field = step2d(field, rep)
+    np.testing.assert_array_equal(series.fields[-1].values, field.values)
 
 
 def test_repeated_runs_bitwise_identical():

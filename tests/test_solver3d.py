@@ -16,12 +16,13 @@ from adr_lab import (
     PointSource,
     ReactionNetwork,
     TransportParams,
+    l2_norm,
     run3d,
     stability3d,
     step3d,
 )
 from adr_lab import solver3d
-from oracles import bundled_ozone, reaction_rates, trajectory_points
+from oracles import bundled_ozone, exact_stencil, reaction_rates, trajectory_points
 
 NOON = 12 * 3600.0
 
@@ -104,7 +105,7 @@ def test_step_matches_naive_loop_bitwise_transport():
     rng = np.random.default_rng(11)
     values = rng.uniform(0.0, 1.0, size=(2, 6, 5, 7))
     field = Field(grid, values.copy())
-    stepped = step3d(field, params, None, 0.0, dt)
+    stepped = step3d(field, stability3d(params, grid, dt), None, 0.0, dt)
     expected = naive_step(values, params.u, params.k,
                           grid.spacing, dt)
     np.testing.assert_array_equal(stepped.values, expected)
@@ -159,10 +160,11 @@ def test_step_blocks_match_naive_loop_bitwise_with_chemistry(monkeypatch, planes
     values = np.random.default_rng(17).uniform(0.0, 2.0, size=(3, *grid.shape))
     expected = naive_step(values, params.u, params.k, grid.spacing, dt,
                           network=net, t=NOON)
-    stepped = [step3d(Field(grid, values.copy()), params, net, NOON, dt)]
+    rep = stability3d(params, grid, dt)
+    stepped = [step3d(Field(grid, values.copy()), rep, net, NOON, dt)]
     for workers in (1, 2, 3):
         with ThreadPoolExecutor(workers) as pool:
-            stepped.append(step3d(Field(grid, values.copy()), params, net, NOON, dt,
+            stepped.append(step3d(Field(grid, values.copy()), rep, net, NOON, dt,
                                   pool=pool, threads=workers + 1))
     for field in stepped:
         np.testing.assert_array_equal(field.values, expected)
@@ -176,7 +178,8 @@ def test_many_blocks_under_fast_thread_switching(monkeypatch):
     net = _block_edge_network(11, 9)
     values = np.random.default_rng(23).uniform(0.0, 2.0, size=(3, *grid.shape))
     field = Field(grid, values)
-    expected = step3d(field, params, net, NOON, 0.2).values
+    rep = stability3d(params, grid, 0.2)
+    expected = step3d(field, rep, net, NOON, 0.2).values
     monkeypatch.setattr(solver3d, "BLOCK_PLANES", 2)
     threads = len(solver3d.x_blocks(26))
     interval = sys.getswitchinterval()
@@ -184,7 +187,7 @@ def test_many_blocks_under_fast_thread_switching(monkeypatch):
     try:
         with ThreadPoolExecutor(threads - 1) as pool:
             for _ in range(20):
-                stepped = step3d(field, params, net, NOON, 0.2, pool=pool, threads=threads)
+                stepped = step3d(field, rep, net, NOON, 0.2, pool=pool, threads=threads)
                 np.testing.assert_array_equal(stepped.values, expected)
     finally:
         sys.setswitchinterval(interval)
@@ -197,10 +200,80 @@ def test_run_equals_repeated_steps_from_nonzero_boundary():
     params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05))
     init = Field(grid, np.random.default_rng(29).uniform(0.5, 1.0, size=(2, 7, 6, 5)))
     series = run3d(init, params, None, 0.5, 2.0, [2.0])
-    field = init
+    rep, field = stability3d(params, grid, 0.5), init
     for n in range(4):
-        field = step3d(field, params, None, n * 0.5, 0.5)
+        field = step3d(field, rep, None, n * 0.5, 0.5)
     np.testing.assert_array_equal(series.fields[-1].values, field.values)
+
+
+def exact_upwind(values, u, k, spacing, dt, steps):
+    """The transport step (network=None) after `steps` steps from (nx, ny, nz) values.
+
+    Along each axis the weight is a + d on c[i-1] and d on c[i+1], with
+    a = u dt/h and d = k dt/h**2; see exact_stencil.
+    """
+    a = [ui * dt / h for ui, h in zip(u, spacing)]
+    d = [ki * dt / h**2 for ki, h in zip(k, spacing)]
+    return exact_stencil(values, 1 - sum(ai + 2 * di for ai, di in zip(a, d)),
+                         [ai + di for ai, di in zip(a, d)], d, steps)
+
+
+def test_run_matches_exact_discrete_solution_random_stable():
+    # rho**(n-1) <= 1e3 keeps the closed form well conditioned, as in 2-D
+    rng = np.random.default_rng(2003)
+    cases = 0
+    while cases < 12:
+        shape = tuple(int(n) for n in rng.integers(4, 10, size=3))
+        spacing = rng.uniform(0.5, 2.0, size=3)
+        grid = Grid(shape, tuple(h * (n - 1) for h, n in zip(spacing, shape)))
+        k = rng.uniform(0.05, 1.0, size=3)
+        u = rng.uniform(0.0, 1.0, size=3)
+        rho = np.sqrt(1 + u * spacing / k)
+        if any(r ** (n - 1) > 1e3 for r, n in zip(rho, shape)):
+            continue
+        dt = float(rng.uniform(0.1, 0.95)) / sum(2 * k / spacing**2 + u / spacing)
+        params = TransportParams(u=tuple(u), k=tuple(k))
+        if not stability3d(params, grid, dt).ok:
+            continue
+        values = np.zeros((2, *shape))
+        values[:, 1:-1, 1:-1, 1:-1] = rng.uniform(0.0, 1.0, size=(2, *(n - 2 for n in shape)))
+        steps = int(rng.integers(1, 200))
+        series = run3d(Field(grid, values), params, None, dt, steps * dt,
+                       [steps // 2 * dt, steps * dt])
+        for step, field in zip(series.steps, series.fields):
+            for s in range(2):
+                exact = exact_upwind(values[s], u, k, grid.spacing, dt, step)
+                err = np.abs(field.values[s] - exact).max() / np.abs(exact).max()
+                assert err < 1e-12, (step, err)
+        cases += 1
+
+
+def test_norm_ratio_tends_to_leading_eigenvalue():
+    # The paper's asymptotic decay in discrete form, as in 2-D: over dn steps
+    # the L2 norm shrinks by a factor that tends to lambda_111**dn, and the
+    # relative excess dies like (lambda_211 / lambda_111)**dn.
+    grid = Grid((11, 9, 8), (10.0, 8.0, 7.0))
+    params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.2, 0.3, 0.25))
+    dt, dn = 0.25, 40
+    adv, dif = stability3d(params, grid, dt).coefficients
+
+    def lam(p):
+        return 1 + sum(-(a + 2 * d) + 2 * np.sqrt(d * (a + d)) * np.cos(q * np.pi / (n - 1))
+                       for a, d, q, n in zip(adv, dif, p, grid.shape))
+
+    lam111 = lam((1, 1, 1))
+    assert lam((2, 1, 1)) > max(lam((1, 2, 1)), lam((1, 1, 2)))
+    init = Field.zeros(grid)
+    init.values[:, 1:-1, 1:-1, 1:-1] = np.random.default_rng(3).uniform(0.0, 1.0, (9, 7, 6))
+    times = [n * dn * dt for n in range(1, 9)]
+    series = run3d(init, params, None, dt, times[-1], times)
+    assert series.steps == [n * dn for n in range(1, 9)]
+    norms = [l2_norm(f) for f in series.fields]
+    excess = [b / a / lam111**dn - 1.0 for a, b in zip(norms, norms[1:])]
+    assert all(b < a for a, b in zip(excess, excess[1:])), excess
+    assert 0.0 < excess[-1] < 1e-2, excess
+    quotients = [b / a for a, b in zip(excess, excess[1:])]
+    np.testing.assert_allclose(quotients[-3:], (lam((2, 1, 1)) / lam111) ** dn, rtol=0.05)
 
 
 def test_run_outputs_equal_across_threads(monkeypatch):
@@ -229,7 +302,7 @@ def test_step_matches_naive_loop_with_chemistry():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 2.0, size=(3, 5, 5, 5))
     field = Field(grid, values.copy())
-    stepped = step3d(field, params, net, NOON, dt)
+    stepped = step3d(field, stability3d(params, grid, dt), net, NOON, dt)
     expected = naive_step(values, params.u, params.k,
                           grid.spacing, dt, network=net, t=NOON)
     np.testing.assert_allclose(stepped.values, expected, rtol=1e-13, atol=1e-300)
@@ -245,7 +318,7 @@ def test_chemistry_uses_previous_step_state():
     values[:, 2, 2, 2] = [1.0, 2.0, 3.0]
     field = Field(grid, values.copy())
     dt = 0.1
-    stepped = step3d(field, params, net, NOON, dt)
+    stepped = step3d(field, stability3d(params, grid, dt), net, NOON, dt)
     expected = values[:, 2, 2, 2] + dt * reaction_rates(
         net, NOON, values[:, 2, 2, 2], cell=(2, 2, 2)
     )
@@ -257,7 +330,7 @@ def test_source_feeds_its_cell_only():
     params = TransportParams(u=(0.0, 0.0, 0.0), k=(0.0, 0.0, 0.0))
     net = bundled_ozone(k2=0.0, no_emission=3.0, cell=(1, 2, 3))
     field = Field.zeros(grid, 3)
-    stepped = step3d(field, params, net, 0.0, 2.0)
+    stepped = step3d(field, stability3d(params, grid, 2.0), net, 0.0, 2.0)
     assert stepped.values[0, 1, 2, 3] == 6.0  # NO only
     assert stepped.values.sum() == 6.0
 
@@ -274,8 +347,9 @@ def test_conservation_without_source_or_transport():
     zero_dirichlet(field)
     s12 = field.values[0] + field.values[1]
     s23 = field.values[1] + field.values[2]
+    rep = stability3d(params, grid, 0.1)
     for step in range(200):
-        field = step3d(field, params, net, NOON + step * 0.1, 0.1)
+        field = step3d(field, rep, net, NOON + step * 0.1, 0.1)
     np.testing.assert_allclose(field.values[0] + field.values[1], s12, rtol=1e-12)
     np.testing.assert_allclose(field.values[1] + field.values[2], s23, rtol=1e-12)
 
@@ -285,8 +359,9 @@ def test_boundary_stays_zero():
     params = TransportParams(u=(0.5, 0.5, 0.5), k=(0.01, 0.01, 0.01))
     rng = np.random.default_rng(9)
     field = Field(grid, rng.uniform(0, 1, size=(1, 6, 6, 6)))
+    rep = stability3d(params, grid, 0.5)
     for _ in range(3):
-        field = step3d(field, params, None, 0.0, 0.5)
+        field = step3d(field, rep, None, 0.0, 0.5)
         assert field.values[:, 0].max() == 0.0
         assert field.values[:, :, :, -1].max() == 0.0
 
