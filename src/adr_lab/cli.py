@@ -360,19 +360,18 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(v) -> str:
-    # repr of a Python float is the shortest round-trip form
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
+    """Write the header line, then one line per row of Python ints and floats.
 
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    A value is written as its repr, which for a Python float is the shortest
+    form that reads back as the same number (numpy scalars must be converted
+    first, by .tolist()).  prefixes, when given, holds the start of each
+    row's line: the text of its leading columns, with their commas.
+    """
+    lines = (",".join(map(repr, row)) for row in rows)
+    if prefixes is not None:
+        lines = map(str.__add__, prefixes, lines)
+    _write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_slice(path: Path, plane: np.ndarray, species: list[str],
@@ -382,11 +381,11 @@ def write_slice(path: Path, plane: np.ndarray, species: list[str],
     A row holds the node's two coordinates (its indices, unless coords gives
     the axis values) and then each species.
     """
-    if coords is None:
-        coords = (range(plane.shape[1]), range(plane.shape[2]))
+    axes = ([range(n) for n in plane.shape[1:]] if coords is None
+            else [c.tolist() for c in coords])
+    prefixes = [f"{a!r},{b!r}," for a, b in itertools.product(*axes)]
     values = plane.reshape(plane.shape[0], -1).T.tolist()
-    rows = ((a, b, *v) for (a, b), v in zip(itertools.product(*coords), values))
-    write_csv(path, [*labels, *species], rows)
+    write_csv(path, [*labels, *species], values, prefixes)
 
 
 class Manifest:
@@ -472,7 +471,7 @@ def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
     for t in cfg.snapshot_times:
         field = sample_series(sol, cfg.grid, t)
-        write_slice(out / f"series_t{_fmt(t)}.csv", field.values, cfg.species,
+        write_slice(out / f"series_t{t!r}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
     manifest.finalize("ok", series={"M": sol.M, "N": sol.N})
 
@@ -500,9 +499,12 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     wall = time.perf_counter() - t0
     for step, plane in zip(series.steps, series.slices):
         write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
-    if series.trajectories.cells:
-        write_csv(out / "trajectories.csv",
-                  ["t", "i", "j", "k", *cfg.species], series.trajectories.rows())
+    log = series.trajectories
+    if log.cells:
+        cells = [",".join(map(str, cell)) + "," for cell in log.cells]
+        write_csv(out / "trajectories.csv", ["t", "i", "j", "k", *cfg.species],
+                  (conc for block in log.data for conc in block.tolist()),
+                  (f"{t!r},{cell}" for t in log.times for cell in cells))
     updates = cfg.grid.num_cells * len(cfg.species) * step_count(cfg.t_end, cfg.dt)
     ok, violation = positivity_check(series)
     manifest.finalize(

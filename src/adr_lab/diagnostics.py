@@ -12,10 +12,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analytic2d import SeriesSolution, sample_series
-from .errors import ConfigurationError, StabilityError
+from .errors import ConfigurationError
 from .grid import Field, TransportParams, sample_initial_2d
 from .snapshots import SnapshotSeries
-from .solver2d import run2d, stability2d
+from .solver2d import run2d
 
 __all__ = [
     "ErrorReport",
@@ -91,12 +91,6 @@ def convergence_order(
     spacings: list[float] = []
     params = TransportParams(u=(sol.u, sol.u), k=(sol.k, sol.k))
     for grid, dt in configs:
-        stab = stability2d(params, grid, dt)
-        if not stab.ok:
-            raise StabilityError(
-                f"refinement level {grid.shape} with dt={dt} is unstable "
-                f"({stab.violated})", stab,
-            )
         init = sample_initial_2d(grid, initial_profile)
         series = run2d(init, params, dt, t_end=t, snapshot_times=[t])
         reports.append(max_error_vs_analytic(series.fields[-1], sol, series.times[-1]))
@@ -129,11 +123,7 @@ def positivity_check(series: SnapshotSeries) -> tuple[bool, dict | None]:
 
 @dataclass
 class TrajectoryLog:
-    """Per-cell species trajectories sampled every `stride` steps.
-
-    rows() yields (t, i, j, k, c1, ..., cs) suitable for CSV export and
-    3-D phase-space plotting.
-    """
+    """Per-cell species trajectories sampled every `stride` steps."""
 
     cells: list[tuple[int, ...]]
     stride: int
@@ -145,8 +135,3 @@ class TrajectoryLog:
             raise ConfigurationError("trajectory samples must be time-ordered")
         self.times.append(t)
         self.data.append(np.asarray(sample, dtype=float).copy())
-
-    def rows(self):
-        for t, block in zip(self.times, self.data):
-            for cell, conc in zip(self.cells, block):
-                yield (t, *cell, *conc)

@@ -107,10 +107,15 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     swaps them after each step: advance(old, new, t) fills the interior of
     new with the state one step after time t.  Boundary nodes are never
     written; the copy of initial, whose boundary the first step still
-    reads, is zeroed once when it first becomes the spare.
-    sample(step, t, values), when given, sees the state at every step from
-    0 to the last.  A non-finite value after a step raises DivergenceError
-    naming the step, species and cell.
+    reads, is zeroed once when it first becomes the spare.  advance may
+    return per-axis slices of the grid, a box outside which it wrote
+    nothing; it may do so only while every cell outside the box is zero in
+    both buffers.  So a box must never shrink: the spare starts as zeros
+    and then holds the state from two steps back, zero outside every
+    earlier box.  sample(step, t, values), when given, sees the state at
+    every step from 0 to the last.  A non-finite value written by a step
+    (inside its box, or anywhere when advance returns None) raises
+    DivergenceError naming the step, species and cell.
     """
     pending = snapshot_steps(series.requested_times, dt, t_end)
     n_steps = step_count(t_end, dt)
@@ -126,13 +131,15 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
             sample(step, t, field.values)
         if step >= n_steps:
             return series
-        advance(field, spare, t)
+        box = advance(field, spare, t)
         field, spare = spare, field
         if step == 0:
             zero_dirichlet(spare)
         step += 1
-        if not np.isfinite(field.values).all():
-            bad = np.argwhere(~np.isfinite(field.values))[0]
+        written = field.values if box is None else field.values[(slice(None), *box)]
+        if not np.isfinite(written).all():
+            corner = [0] * written.ndim if box is None else [0, *(s.start for s in box)]
+            bad = np.argwhere(~np.isfinite(written))[0] + corner
             raise DivergenceError(
                 f"non-finite value after step {step} (t={step * dt}) "
                 f"at species {bad[0]}, cell {tuple(int(i) for i in bad[1:])}",

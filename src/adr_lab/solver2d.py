@@ -85,5 +85,8 @@ def run2d(
     report = stability2d(params, initial.grid, dt)
     report.require(override_stability, "Rx", "Ry", "Px", "Py")
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
-    return run_steps(initial, lambda old, new, t: step2d(old, report, new),
-                     dt, t_end, series)
+
+    def advance(old: Field, new: Field, t: float) -> None:
+        step2d(old, report, new)
+
+    return run_steps(initial, advance, dt, t_end, series)

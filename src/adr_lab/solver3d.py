@@ -102,33 +102,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
+def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, adv, dif,
                     network: ReactionNetwork | None, t: float, dt: float) -> None:
-    """Step the x-plane blocks [lo, hi) taken from the left of todo until it is empty.
+    """Step the x-planes [lo, hi) taken from the left of todo until it is empty.
 
-    A block's stepped interior goes from old to new, all species at once.
-    Its chemistry lands in new first, and the block then takes dt*rates
-    out, writes the transport increment in its place and adds the old state
-    and dt*rates, grouped as in the formula of the module docstring read
-    left to right, so any blocks give the same bytes.
+    A block's cells inside the y and z ranges of box go from old to new,
+    all species at once.  Its chemistry lands in new first, and the block
+    then takes dt*rates out, writes the transport increment in its place and
+    adds the old state and dt*rates, grouped as in the formula of the module
+    docstring read left to right, so any blocks give the same bytes.
     """
-    shape = (old.shape[0], BLOCK_PLANES, old.shape[2] - 2, old.shape[3] - 2)
+    ys, zs = box[1:]
+    shape = (old.shape[0], BLOCK_PLANES, ys.stop - ys.start, zs.stop - zs.start)
     scratch, twice, rates = np.empty(shape), np.empty(shape), np.empty(shape)
+    ym, yp, zm, zp = _shift(ys, -1), _shift(ys, 1), _shift(zs, -1), _shift(zs, 1)
     while True:
         try:
             lo, hi = todo.popleft()
         except IndexError:
             return
-        inner = (slice(None), slice(lo, hi), slice(1, -1), slice(1, -1))
+        inner = (slice(None), slice(lo, hi), ys, zs)
         if network is not None:
-            reaction_rates_field(network, t, old[inner], out=new[inner], offset=(lo, 1, 1))
+            reaction_rates_field(network, t, old[inner], out=new[inner],
+                                 offset=(lo, ys.start, zs.start))
         w, c2, r = scratch[:, :hi - lo], twice[:, :hi - lo], rates[:, :hi - lo]
         c, o = old, new[inner]
         centre = c[inner]
-        lower = (c[:, lo - 1:hi - 1, 1:-1, 1:-1], c[:, lo:hi, :-2, 1:-1],
-                 c[:, lo:hi, 1:-1, :-2])
-        upper = (c[:, lo + 1:hi + 1, 1:-1, 1:-1], c[:, lo:hi, 2:, 1:-1],
-                 c[:, lo:hi, 1:-1, 2:])
+        lower = (c[:, lo - 1:hi - 1, ys, zs], c[:, lo:hi, ym, zs], c[:, lo:hi, ys, zm])
+        upper = (c[:, lo + 1:hi + 1, ys, zs], c[:, lo:hi, yp, zs], c[:, lo:hi, ys, zp])
         if network is not None:
             np.multiply(o, dt, out=r)
         np.subtract(centre, lower[0], out=o)
@@ -148,6 +149,10 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, adv, dif,
             o += r
 
 
+def _shift(s: slice, by: int) -> slice:
+    return slice(s.start + by, s.stop + by)
+
+
 def step3d(
     field: Field,
     report: Stability,
@@ -157,31 +162,66 @@ def step3d(
     out: Field | None = None,
     pool: Executor | None = None,
     threads: int = 1,
+    box: tuple[slice, slice, slice] | None = None,
 ) -> Field:
     """One explicit step at time t with report's weights; returns the Field written.
 
     network=None means pure transport.  Chemistry is evaluated on the
     previous-step state, simultaneously with transport.  The new state goes
     to the interior of out, whose boundary nodes are left as they are, or
-    else to a new Field with a zero boundary.  The x_blocks of the interior
-    wait in one queue, which this thread empties together with threads - 1
-    tasks on pool when pool is given: each thread takes the next block when
-    it is free, so a thread that the machine slows down takes fewer blocks
-    instead of holding up the step.
+    else to a new Field with a zero boundary.  box, per-axis slices inside
+    the interior, limits the cells written to those it covers (None: the
+    whole interior); every other cell of out is left as it is.  The x_blocks
+    that meet box wait in one queue, which this thread empties together with
+    threads - 1 tasks on pool when pool is given: each thread takes the next
+    block when it is free, so a thread that the machine slows down takes
+    fewer blocks instead of holding up the step.
     """
     adv, dif = report.coefficients
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
-    todo = deque(x_blocks(field.grid.shape[0]))
+    box = box or tuple(slice(1, n - 1) for n in field.grid.shape)
+    xs = box[0]
+    clipped = ((max(lo, xs.start), min(hi, xs.stop)) for lo, hi in x_blocks(field.grid.shape[0]))
+    todo = deque((lo, hi) for lo, hi in clipped if lo < hi)
 
     def drain() -> None:
-        _advance_blocks(field.values, out.values, todo, adv, dif, network, t, dt)
+        _advance_blocks(field.values, out.values, todo, box, adv, dif, network, t, dt)
 
     helpers = [pool.submit(drain) for _ in range(threads - 1)] if pool is not None else []
     drain()
     for helper in helpers:
         helper.result()
     return out
+
+
+def _initial_box(initial: Field, network: ReactionNetwork | None) -> tuple[slice, ...]:
+    """Per-axis slices of the grid bounding every cell that may be non-zero before the first step.
+
+    These are the cells of bitwise non-zero values of initial, boundary
+    included (so -0.0, NaN and inf count), and the source cells.  A reaction
+    without reactants has a non-zero rate everywhere, so then the box is the
+    whole grid.
+    """
+    shape = initial.grid.shape
+    if network is not None and not network.loss.any(axis=0).all():
+        return tuple(slice(0, n) for n in shape)
+    v = initial.values
+    occupied = ((v != 0) | np.signbit(v)).any(axis=0)
+    sources = network.sources if network is not None else ()
+    box = []
+    for axis, n in enumerate(shape):
+        hits = np.flatnonzero(occupied.any(axis=tuple(b for b in range(3) if b != axis)))
+        ends = hits[[0, -1]].tolist() if hits.size else []
+        ends += [src.cell[axis] for src in sources]
+        lo, hi = (min(ends), max(ends) + 1) if ends else (0, 0)
+        box.append(slice(min(max(lo, 0), n), min(max(hi, 0), n)))
+    return tuple(box)
+
+
+def _grow(box: tuple[slice, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """box widened by one cell per side and clipped to the interior."""
+    return tuple(slice(max(s.start - 1, 1), min(s.stop + 1, n - 1)) for s, n in zip(box, shape))
 
 
 def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) -> float:
@@ -265,9 +305,16 @@ def run3d(
             log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
 
     workers = step_threads(grid.shape[0], threads)
+    # Each step reaches one cell along each axis, so a cell outside the box
+    # grown by one per step has an all-zero neighbourhood and steps to +0.0:
+    # it is left as the buffer holds it, which is zero (see run_steps).
+    box = _initial_box(initial, network)
 
-    def advance(old: Field, new: Field, t: float) -> None:
-        step3d(old, report, network, t, dt, out=new, pool=pool, threads=workers)
+    def advance(old: Field, new: Field, t: float) -> tuple[slice, ...]:
+        nonlocal box
+        box = _grow(box, grid.shape)
+        step3d(old, report, network, t, dt, out=new, pool=pool, threads=workers, box=box)
+        return box
 
     report.require(override_stability, "combined", "cfl", "alpha")
     pool = None

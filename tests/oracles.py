@@ -258,3 +258,24 @@ def max_pairwise_distance(points: np.ndarray, block: int = 1024) -> float:
         d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+
+def csv_field(v) -> str:
+    """One CSV value, formatted value by value: a float (numpy's too) as the
+    repr of a Python float, the shortest round-trip form; an integer as str."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def trajectory_rows(log: TrajectoryLog):
+    """The (t, i, j, k, c1, ..., cs) rows of trajectories.csv, one per sample and cell."""
+    for t, block in zip(log.times, log.data):
+        for cell, conc in zip(log.cells, block):
+            yield (t, *cell, *conc)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from adr_lab import ConfigurationError, stability2d, stability3d
 from adr_lab import cli, solver3d
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
+from oracles import csv_field
 
 COMPARE_SMALL = {
     "mode": "compare",
@@ -586,3 +587,33 @@ def test_mutated_configs_end_with_documented_exit_code(base, mode, mode_on_comma
         manifest = out / "manifest.json"
         assert not manifest.exists() or \
             json.loads(manifest.read_text())["status"] != "running"
+
+
+# the floats whose shortest repr has an exponent, a sign, a subnormal or no digits
+AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1e16, float("nan"), float("inf"), float("-inf"),
+                  0, 7, -3, 1.5, 0.1 + 0.2]
+
+
+def test_csv_writer_matches_value_by_value_formatting(tmp_path):
+    rows = [AWKWARD_VALUES, AWKWARD_VALUES[::-1]]
+    cli.write_csv(tmp_path / "a.csv", ["h"] * len(AWKWARD_VALUES), rows)
+    prefixed = tmp_path / "b.csv"
+    cli.write_csv(prefixed, ["p", "h"], [[v] for v in AWKWARD_VALUES],
+                  [f"{n}," for n in range(len(AWKWARD_VALUES))])
+    expected = [",".join(["h"] * len(AWKWARD_VALUES))]
+    expected += [",".join(csv_field(v) for v in row) for row in rows]
+    assert (tmp_path / "a.csv").read_text() == "\n".join(expected) + "\n"
+    expected = ["p,h"] + [f"{n},{csv_field(v)}" for n, v in enumerate(AWKWARD_VALUES)]
+    assert prefixed.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("coords", [None, (np.array([0.0, 0.1, 5e-324]), np.array([-0.0, 1e16]))])
+def test_slice_writer_matches_value_by_value_formatting(tmp_path, coords):
+    plane = np.array(AWKWARD_VALUES[:12], dtype=float).reshape(2, 3, 2)
+    cli.write_slice(tmp_path / "s.csv", plane, ["A", "B"], ("x", "y"), coords)
+    axes = coords or (range(3), range(2))
+    expected = ["x,y,A,B"] + [
+        ",".join(csv_field(v) for v in (axes[0][a], axes[1][b], *plane[:, a, b]))
+        for a in range(3) for b in range(2)
+    ]
+    assert (tmp_path / "s.csv").read_text() == "\n".join(expected) + "\n"

@@ -23,7 +23,8 @@ from adr_lab import (
     sample_series,
 )
 from adr_lab.snapshots import SnapshotSeries
-from oracles import boundedness_check, compute_dbar, max_pairwise_distance, trajectory_points
+from oracles import (boundedness_check, compute_dbar, max_pairwise_distance, trajectory_points,
+                     trajectory_rows)
 
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -145,7 +146,7 @@ def test_trajectory_log_append_points_rows():
     assert early.shape == (2, 2)
     late = trajectory_points(log, t_min=5.0)
     np.testing.assert_array_equal(late, [[1.5, 2.5], [3.5, 4.5]])
-    rows = list(log.rows())
+    rows = list(trajectory_rows(log))
     assert rows[0] == (0.0, 1, 1, 1, 1.0, 2.0)
     assert rows[3] == (5.0, 2, 2, 2, 3.5, 4.5)
     with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
     ConfigurationError,
@@ -22,7 +23,8 @@ from adr_lab import (
     step3d,
 )
 from adr_lab import solver3d
-from oracles import bundled_ozone, exact_stencil, reaction_rates, trajectory_points
+from oracles import (bundled_ozone, exact_stencil, reaction_rates, trajectory_points,
+                     trajectory_rows)
 
 NOON = 12 * 3600.0
 
@@ -288,7 +290,7 @@ def test_run_outputs_equal_across_threads(monkeypatch):
                   trajectory_cells=[(1, 1, 1), (6, 3, 3), (10, 5, 4)],
                   trajectory_stride=3, threads=threads)
             for threads in (1, 2)]
-    one, two = ([p.tobytes() for p in r.slices] + [list(r.trajectories.rows())]
+    one, two = ([p.tobytes() for p in r.slices] + [list(trajectory_rows(r.trajectories))]
                 for r in runs)
     assert one == two
     assert len(runs[0].trajectories.times) == 7
@@ -492,3 +494,164 @@ def test_chemistry_rate_scale_hand_value(caplog):
         loud = run3d(init, params, net, 1.0, 1.0, [1.0])
     assert loud.chemistry_rate_scale == 1.0 * (2 * 0.4)
     assert len(caplog.records) == 1 and "0.8 > 0.5" in caplog.records[0].getMessage()
+
+
+# ---------------------------------------------------------------------------
+# the active box: run3d steps only the cells the initial support and the
+# sources can have reached, one cell per axis and step; the rest stay +0.0
+
+BOX_PARAMS = TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05))
+BOX_DT = 0.5
+# a zero-order reaction (nothing -> A) makes A everywhere, then A -> B
+ZERO_ORDER = ReactionNetwork(
+    species=("A", "B"), loss=np.array([[0, 1], [0, 0]]), gain=np.array([[1, 0], [0, 1]]),
+    rates=(ConstantRate(0.5), ConstantRate(0.25)),
+)
+
+
+def _spaced_grid(shape):
+    return Grid(shape, tuple(float(n - 1) for n in shape))
+
+
+def _whole_interior_run(init, network, steps):
+    """The state after 0..steps steps, each step3d over the whole interior."""
+    rep = stability3d(BOX_PARAMS, init.grid, BOX_DT)
+    states, field = [init.values.copy()], init
+    for n in range(steps):
+        field = step3d(field, rep, network, n * BOX_DT, BOX_DT)
+        states.append(field.values)
+    return states
+
+
+def _box_run(init, network, steps, threads=1):
+    """run3d's state after 0..steps steps and the box each step was given."""
+    boxes, step = [], solver3d.step3d
+
+    def recording(*args, box=None, **kwargs):
+        boxes.append(box)
+        return step(*args, box=box, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver3d, "step3d", recording)
+        series = run3d(init, BOX_PARAMS, network, BOX_DT, steps * BOX_DT,
+                       [n * BOX_DT for n in range(steps + 1)], threads=threads)
+    assert series.steps == list(range(steps + 1)) and len(boxes) == steps
+    return [f.values for f in series.fields], boxes
+
+
+def _occupied(values):
+    """Cells holding a value other than +0.0 in any species."""
+    return ((values != 0) | np.signbit(values)).any(axis=0)
+
+
+def _box_case(name):
+    grid = _spaced_grid((14, 9, 8))
+    values, network = np.zeros((3, *grid.shape)), None
+    if name.startswith("sparse"):
+        rng = np.random.default_rng(int(name[-1]))
+        for _ in range(4):
+            cell = tuple(int(rng.integers(1, n - 1)) for n in grid.shape)
+            values[(int(rng.integers(0, 3)),) + cell] = rng.uniform(0.5, 2.0)
+        network = bundled_ozone(k2=2.0**-10)
+    elif name == "source-outside-support":
+        values[:, 3, 3, 3] = [1.0, 2.0, 3.0]
+        network = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=(11, 6, 5))
+    elif name == "zero-order-reaction":
+        values = np.zeros((2, *grid.shape))
+        values[0, 6, 4, 4] = 1.0
+        network = ZERO_ORDER
+    elif name == "nonzero-boundary":
+        values[0, 0, 4, 3] = 1.0
+        values[2, 13, 2, 2] = 2.0
+        values[1, 5, 0, 6] = 3.0
+    elif name == "negative-zero":
+        values[0, 3, 3, 3] = 1.0
+        values[1, 9, 5, 5] = -0.0
+    elif name == "all-zero":
+        network = bundled_ozone(k2=2.0**-10)
+    return Field(grid, values), network
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["sparse-1", "sparse-2", "source-outside-support",
+                                  "zero-order-reaction", "nonzero-boundary",
+                                  "negative-zero", "all-zero"])
+def test_box_run_equals_whole_interior_steps_bitwise(monkeypatch, name, threads):
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
+    init, network = _box_case(name)
+    got, boxes = _box_run(init, network, 8, threads)
+    want = _whole_interior_run(init, network, 8)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert boxes[0] is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(*[st.integers(3, 8)] * 3), steps=st.integers(1, 5), data=st.data())
+def test_box_holds_every_nonzero_cell_after_each_step(shape, steps, data):
+    grid = _spaced_grid(shape)
+    kind = data.draw(st.sampled_from(["transport", "source", "zero-order"]))
+    values = np.zeros((2 if kind == "zero-order" else 3, *shape))
+    cells = st.tuples(st.integers(0, values.shape[0] - 1),
+                      *[st.integers(0, n - 1) for n in shape])
+    for cell in data.draw(st.lists(cells, max_size=4)):
+        values[cell] = data.draw(st.sampled_from([1.0, -0.0, 5e-324, -2.5, 1e3]))
+    network = ZERO_ORDER if kind == "zero-order" else None
+    if kind == "source":
+        cell = data.draw(st.tuples(*[st.integers(1, n - 2) for n in shape]))
+        network = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=cell)
+    init = Field(grid, values)
+    got, boxes = _box_run(init, network, steps)
+    want = _whole_interior_run(init, network, steps)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    for state, box in zip(want[1:], boxes):
+        inside = np.zeros(shape, dtype=bool)
+        inside[box] = True
+        assert not (_occupied(state) & ~inside).any(), box
+
+
+def test_step_writes_nothing_outside_its_box(monkeypatch):
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
+    grid = _spaced_grid((16, 9, 8))
+    net = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=(7, 4, 3))
+    field = Field(grid, np.random.default_rng(31).uniform(0.0, 2.0, size=(3, *grid.shape)))
+    rep = stability3d(BOX_PARAMS, grid, BOX_DT)
+    whole = step3d(field, rep, net, NOON, BOX_DT).values
+    box = (slice(5, 12), slice(2, 6), slice(3, 7))
+    inside = (slice(None), *box)
+    for threads in (1, 2):
+        out = Field(grid, np.full(field.values.shape, np.nan))
+        with ThreadPoolExecutor(1) as pool:
+            step3d(field, rep, net, NOON, BOX_DT, out=out, pool=pool, threads=threads,
+                   box=box)
+        assert out.values[inside].tobytes() == whole[inside].tobytes()
+        out.values[inside] = np.nan
+        assert np.isnan(out.values).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_divergence_location_inside_a_box_away_from_the_origin(monkeypatch, threads):
+    # the finite check reads only the box, and must still name the cell by
+    # its grid index: the first non-finite value of whole-interior steps
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
+    grid = _spaced_grid((17, 16, 15))
+    params = TransportParams(u=(0.0, 0.0, 0.0), k=(1.0, 1.0, 1.0))
+    init = Field.zeros(grid, 2)
+    init.values[1, 10, 9, 8] = 1e300
+    init.values[0, 11, 9, 8] = 1e290
+    rep = stability3d(params, grid, 100.0)
+    field, step = init, 0
+    while np.isfinite(field.values).all():
+        field = step3d(field, rep, None, step * 100.0, 100.0)
+        step += 1
+    bad = tuple(int(i) for i in np.argwhere(~np.isfinite(field.values))[0])
+    assert 8 - step > 1  # the box still starts inside index 1 on every axis
+    with pytest.raises(DivergenceError) as exc:
+        run3d(init, params, None, 100.0, 1e5, [1e5], override_stability=True,
+              threads=threads)
+    assert exc.value.step == step
+    assert f"after step {step} " in str(exc.value)
+    assert f"at species {bad[0]}, cell {bad[1:]}" in str(exc.value)
