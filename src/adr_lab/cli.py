@@ -42,12 +42,8 @@ from .chemistry import (
     PointSource,
     ReactionNetwork,
 )
-from .diagnostics import (
-    convergence_order,
-    l2_norm,
-    max_error_vs_analytic,
-    positivity_check,
-)
+from .diagnostics import convergence_order, max_error_vs_analytic, positivity_check
+from .diagnostics import l2_norm  # noqa: F401 (patched by perfbench/tracing.py)
 from .errors import AdrLabError, ConfigurationError
 from .grid import Field, Grid, TransportParams, sample_initial_2d, zero_dirichlet
 from .snapshots import step_count
@@ -488,7 +484,8 @@ def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
         snapshot_steps=series.steps,
         snapshot_times=series.times,
         positivity={"ok": ok, "violation": violation},
-        max_abs=[float(np.abs(f.values).max()) for f in series.fields],
+        max_abs=[float(np.maximum(abs(hi), abs(lo)).max())
+                 for hi, lo in zip(series.maxima, series.minima)],
     )
 
 
@@ -516,14 +513,13 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
         chemistry_rate_scale=series.chemistry_rate_scale,
         positivity={"ok": ok, "violation": violation},
         max_per_species={
-            name: [float(f.values[s].max()) for f in series.fields]
-            for s, name in enumerate(cfg.species)
+            name: [float(m[s]) for m in series.maxima] for s, name in enumerate(cfg.species)
         },
         slice_max_per_species={
             name: [float(p[s].max()) for p in series.slices]
             for s, name in enumerate(cfg.species)
         },
-        l2_norms=[l2_norm(f) for f in series.fields],
+        l2_norms=series.l2_norms,
     )
 
 

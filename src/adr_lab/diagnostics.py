@@ -103,21 +103,12 @@ def positivity_check(series: SnapshotSeries) -> tuple[bool, dict | None]:
     """True iff every snapshot value is >= -tol, tol = 1e-12 * field max.
 
     On failure returns the first violating (snapshot index, species, cell,
-    value) for reporting.
+    value), where value is that snapshot's min; read from series.negatives,
+    which the series records at capture.
     """
-    for idx, snap in enumerate(series.fields):
-        vmax = float(np.abs(snap.values).max())
-        tol = 1e-12 * vmax
-        vmin = float(snap.values.min())
-        if vmin < -tol:
-            where = np.argwhere(snap.values < -tol)[0]
-            return False, {
-                "snapshot": idx,
-                "t": series.times[idx],
-                "species": int(where[0]),
-                "cell": tuple(int(v) for v in where[1:]),
-                "value": vmin,
-            }
+    for idx, found in enumerate(series.negatives):
+        if found is not None:
+            return False, {"snapshot": idx, "t": series.times[idx], **found}
     return True, None
 
 

@@ -73,30 +73,64 @@ def snapshot_steps(snapshot_times, dt: float, t_end: float) -> list[int]:
 
 @dataclass
 class SnapshotSeries:
-    """Fields captured at requested times during a run.
+    """What a run records at its requested times, reduced as each is captured.
 
-    3-D runs also set plane, the index of the 2-D slice they report, and
-    trajectories, the log of their tracked cells.
+    Per capture: steps, times, each species' maxima and minima, l2_norms and
+    negatives, the first value below -1e-12 times the largest |value| (a
+    dict of species, cell and the field's min; None if there is none).  A
+    2-D series keeps a copy of each field in fields; a 3-D one sets plane,
+    the index of the 2-D slice it reports, keeps a copy of the values there
+    in slices, and sets trajectories, the log of its tracked cells.
     """
 
     requested_times: list[float]
     steps: list[int] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
+    maxima: list[np.ndarray] = field(default_factory=list)
+    minima: list[np.ndarray] = field(default_factory=list)
+    negatives: list[dict | None] = field(default_factory=list)
+    l2_norms: list[float] = field(default_factory=list)
     fields: list[Field] = field(default_factory=list)
+    slices: list[np.ndarray] = field(default_factory=list)
     stability: Stability | None = None
     chemistry_rate_scale: float = 0.0  # 3-D runs with chemistry only
     plane: tuple | None = None
     trajectories: TrajectoryLog | None = None
 
-    @property
-    def slices(self) -> list[np.ndarray]:
-        """Views of each captured field's values at plane; none without one."""
-        return [] if self.plane is None else [f.values[self.plane] for f in self.fields]
+    def append(self, step: int, time: float, snapshot: Field, box=None) -> None:
+        """Record snapshot, which the caller may change afterwards.
 
-    def append(self, step: int, time: float, snapshot: Field) -> None:
+        box, per-axis slices of the interior, says that every value outside
+        it is +0.0; the maxima and minima then reduce over box and fold in
+        +0.0, which gives the numbers of a reduction over the whole field.
+        """
+        from .diagnostics import l2_norm  # looked up per call: perfbench patches it
+        v = snapshot.values
+        inside = v if box is None else v[(slice(None), *box)]
+        axes, fold = tuple(range(1, v.ndim)), {} if box is None else {"initial": 0.0}
+        hi, lo = inside.max(axis=axes, **fold), inside.min(axis=axes, **fold)
+        tol = 1e-12 * np.maximum(np.abs(hi), np.abs(lo)).max()
+        vmin = lo.min()
+        found = None
+        if vmin < -tol:
+            species, cell = _first(inside < -tol, box)
+            found = {"species": species, "cell": cell, "value": float(vmin)}
         self.steps.append(step)
         self.times.append(time)
-        self.fields.append(snapshot)
+        self.maxima.append(hi)
+        self.minima.append(lo)
+        self.negatives.append(found)
+        self.l2_norms.append(l2_norm(snapshot))
+        if self.plane is None:
+            self.fields.append(snapshot.copy())
+        else:
+            self.slices.append(v[self.plane].copy())
+
+
+def _first(mask: np.ndarray, box) -> tuple[int, tuple[int, ...]]:
+    """Species and grid cell of mask's first true entry; mask covers box (None: the grid)."""
+    where = np.argwhere(mask)[0] + [0, *(s.start for s in box or ())]
+    return int(where[0]), tuple(int(i) for i in where[1:])
 
 
 def run_steps(initial: Field, advance, dt: float, t_end: float,
@@ -112,8 +146,10 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     nothing; it may do so only while every cell outside the box is zero in
     both buffers.  So a box must never shrink: the spare starts as zeros
     and then holds the state from two steps back, zero outside every
-    earlier box.  sample(step, t, values), when given, sees the state at
-    every step from 0 to the last.  A non-finite value written by a step
+    earlier box.  Each requested snapshot goes to series.append as the live
+    field, with the box of the step that wrote it (None at step 0), and
+    sample(step, t, values), when given, sees the state at every step from
+    0 to the last.  A non-finite value written by a step
     (inside its box, or anywhere when advance returns None) raises
     DivergenceError naming the step, species and cell.
     """
@@ -121,11 +157,11 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     n_steps = step_count(t_end, dt)
     field = initial.copy()
     spare = Field.zeros(initial.grid, initial.species_count)
-    step = 0
+    step, box = 0, None
     while True:
         t = step * dt
         while pending and pending[0] <= step:
-            series.append(step, t, field.copy())
+            series.append(step, t, field, box)
             pending.pop(0)
         if sample is not None:
             sample(step, t, field.values)
@@ -138,10 +174,9 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
         step += 1
         written = field.values if box is None else field.values[(slice(None), *box)]
         if not np.isfinite(written).all():
-            corner = [0] * written.ndim if box is None else [0, *(s.start for s in box)]
-            bad = np.argwhere(~np.isfinite(written))[0] + corner
+            species, cell = _first(~np.isfinite(written), box)
             raise DivergenceError(
                 f"non-finite value after step {step} (t={step * dt}) "
-                f"at species {bad[0]}, cell {tuple(int(i) for i in bad[1:])}",
+                f"at species {species}, cell {cell}",
                 step,
             )

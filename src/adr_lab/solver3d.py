@@ -271,13 +271,13 @@ def run3d(
 ) -> SnapshotSeries:
     """Run the 3-D scheme on initial.grid and return its SnapshotSeries.
 
-    Snapshots keep the full field; series.slices views the requested 2-D
-    slice of each.  When trajectory_cells is given (a list of interior
-    (i, j, k) tuples), the per-species state of those cells is appended to
-    series.trajectories every trajectory_stride steps.  Each step runs its
-    x_blocks on step_threads(nx, threads) threads, this one and the rest
-    from a pool that lives for the run; the result does not depend on
-    threads.
+    A snapshot keeps its reductions and, in series.slices, a copy of the
+    requested 2-D slice; no full field is kept.  When trajectory_cells is
+    given (a list of interior (i, j, k) tuples), the per-species state of
+    those cells is appended to series.trajectories every trajectory_stride
+    steps.  Each step runs its x_blocks on step_threads(nx, threads)
+    threads, this one and the rest from a pool that lives for the run; the
+    result does not depend on threads.
     """
     grid = initial.grid
     if slice_axis not in ("x", "y", "z"):

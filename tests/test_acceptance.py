@@ -317,7 +317,7 @@ def test_criterion_09_norm_growth_bound():
     zero_dirichlet(init)
     snapshot_times = [0.0, 10.0, 25.0, 50.0, 75.0, 100.0]
     series = run3d(init, params, net, 1.0, 100.0, snapshot_times)
-    norms = [l2_norm(f) for f in series.fields]
+    norms = series.l2_norms
     ok, margins = boundedness_check(series.times, norms, est, l2_norm(init))
     assert ok, f"bound violated, margins {margins}"
 

@@ -51,9 +51,12 @@ def test_retained_bytes_reads_fields_and_slices_of_run_results():
     box = run3d(Field.zeros(Grid((5, 6, 7), (4.0, 5.0, 6.0)), 2),
                 TransportParams(u=(0.0,) * 3, k=(0.1,) * 3), None, 0.5, 1.0, [0.0, 1.0],
                 slice_axis="y", slice_index=2)
-    assert all(np.shares_memory(p, f.values) for p, f in zip(box.slices, box.fields))
-    # two snapshots of two species: full fields plus one 5 x 7 y-plane each
-    assert tracing._retained_bytes(box) == 2 * 2 * (5 * 6 * 7 + 5 * 7) * 8
+    # a 3-D series keeps no field, only its own copy of each y-plane
+    assert box.fields == []
+    assert all(p.base is None for p in box.slices)
+    assert not np.shares_memory(*box.slices)
+    # two snapshots of two species: one 5 x 7 y-plane each
+    assert tracing._retained_bytes(box) == 2 * 2 * (5 * 7) * 8
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

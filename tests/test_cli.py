@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from adr_lab import ConfigurationError, stability2d, stability3d
+from adr_lab import ConfigurationError, Field, stability2d, stability3d
 from adr_lab import cli, solver3d
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
 from oracles import csv_field
@@ -169,6 +169,20 @@ def test_simulate3d_mode_end_to_end(tmp_path):
     assert traj[0] == "t,i,j,k,NO,NO2,O3"
     # 10 steps at stride 2, plus step 0: 6 samples x 2 cells
     assert len(traj) == 1 + 6 * 2
+
+
+def test_simulate3d_copies_no_snapshot(tmp_path, monkeypatch):
+    # a 3-D capture reduces the live buffer and copies only its plane: the
+    # one Field.copy is the time loop's copy of the initial field
+    payload = json.loads(json.dumps(SIM3D_SMALL))
+    payload["time"]["snapshots"] = [0.0, 2.0, 5.0, 7.0, 10.0]
+    cfg = parse_config(write_cfg(tmp_path, payload))
+    copies, copy = [], Field.copy
+    monkeypatch.setattr(Field, "copy", lambda self: copies.append(self) or copy(self))
+    assert execute(cfg, tmp_path / "out") == 0
+    assert len(copies) == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["snapshot_steps"] == [0, 2, 5, 7, 10]
 
 
 def test_analytic_mode_writes_coefficients(tmp_path):

@@ -18,6 +18,7 @@ from adr_lab import (
     ReactionNetwork,
     TransportParams,
     l2_norm,
+    positivity_check,
     run3d,
     stability3d,
     step3d,
@@ -195,17 +196,38 @@ def test_many_blocks_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _recorded_run(init, *args, **kwargs):
+    """run3d(init, *args, **kwargs), its state after each step and the box each step was given.
+
+    A 3-D series keeps no field, so a recording step3d copies each state:
+    states[n] is the whole field after n steps, states[0] a copy of init.
+    """
+    states, boxes, step = [init.values.copy()], [], solver3d.step3d
+
+    def recording(*a, box=None, **kw):
+        boxes.append(box)
+        out = step(*a, box=box, **kw)
+        states.append(out.values.copy())
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver3d, "step3d", recording)
+        series = run3d(init, *args, **kwargs)
+    return series, states, boxes
+
+
 def test_run_equals_repeated_steps_from_nonzero_boundary():
     # the first step reads the initial field's boundary; the buffers that
     # run3d swaps must give every later step a zero boundary
     grid = Grid((7, 6, 5), (6.0, 5.0, 4.0))
     params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05))
     init = Field(grid, np.random.default_rng(29).uniform(0.5, 1.0, size=(2, 7, 6, 5)))
-    series = run3d(init, params, None, 0.5, 2.0, [2.0])
+    series, states, _ = _recorded_run(init, params, None, 0.5, 2.0, [2.0])
     rep, field = stability3d(params, grid, 0.5), init
     for n in range(4):
         field = step3d(field, rep, None, n * 0.5, 0.5)
-    np.testing.assert_array_equal(series.fields[-1].values, field.values)
+    np.testing.assert_array_equal(states[-1], field.values)
+    assert series.l2_norms[-1] == l2_norm(field)
 
 
 def exact_upwind(values, u, k, spacing, dt, steps):
@@ -240,12 +262,12 @@ def test_run_matches_exact_discrete_solution_random_stable():
         values = np.zeros((2, *shape))
         values[:, 1:-1, 1:-1, 1:-1] = rng.uniform(0.0, 1.0, size=(2, *(n - 2 for n in shape)))
         steps = int(rng.integers(1, 200))
-        series = run3d(Field(grid, values), params, None, dt, steps * dt,
-                       [steps // 2 * dt, steps * dt])
-        for step, field in zip(series.steps, series.fields):
+        series, states, _ = _recorded_run(Field(grid, values), params, None, dt, steps * dt,
+                                          [steps // 2 * dt, steps * dt])
+        for step in series.steps:
             for s in range(2):
                 exact = exact_upwind(values[s], u, k, grid.spacing, dt, step)
-                err = np.abs(field.values[s] - exact).max() / np.abs(exact).max()
+                err = np.abs(states[step][s] - exact).max() / np.abs(exact).max()
                 assert err < 1e-12, (step, err)
         cases += 1
 
@@ -270,7 +292,7 @@ def test_norm_ratio_tends_to_leading_eigenvalue():
     times = [n * dn * dt for n in range(1, 9)]
     series = run3d(init, params, None, dt, times[-1], times)
     assert series.steps == [n * dn for n in range(1, 9)]
-    norms = [l2_norm(f) for f in series.fields]
+    norms = series.l2_norms
     excess = [b / a / lam111**dn - 1.0 for a, b in zip(norms, norms[1:])]
     assert all(b < a for a, b in zip(excess, excess[1:])), excess
     assert 0.0 < excess[-1] < 1e-2, excess
@@ -374,15 +396,15 @@ def test_run_returns_slices_and_trajectories():
     net = bundled_ozone(k2=1e-4, no_emission=1.0, cell=(1, 1, 1))
     init = Field.zeros(grid, 3)
     init.values[:, 1, 1, 1] = [1.0, 2.0, 3.0]
-    series = run3d(
+    series, states, _ = _recorded_run(
         init, params, net, 0.5, 10.0, [0.0, 5.0, 10.0],
         slice_axis="z", slice_index=1,
         trajectory_cells=[(1, 1, 1), (3, 3, 3)], trajectory_stride=4,
     )
     log = series.trajectories
     assert series.steps == [0, 10, 20]
-    for field, plane in zip(series.fields, series.slices):
-        np.testing.assert_array_equal(plane, field.values[:, :, :, 1])
+    for step, plane in zip(series.steps, series.slices):
+        np.testing.assert_array_equal(plane, states[step][:, :, :, 1])
     pts = trajectory_points(log)
     # 20 steps, sampled every 4th plus step 0: 6 samples x 2 cells
     assert pts.shape == (12, 3)
@@ -524,19 +546,12 @@ def _whole_interior_run(init, network, steps):
 
 
 def _box_run(init, network, steps, threads=1):
-    """run3d's state after 0..steps steps and the box each step was given."""
-    boxes, step = [], solver3d.step3d
-
-    def recording(*args, box=None, **kwargs):
-        boxes.append(box)
-        return step(*args, box=box, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver3d, "step3d", recording)
-        series = run3d(init, BOX_PARAMS, network, BOX_DT, steps * BOX_DT,
-                       [n * BOX_DT for n in range(steps + 1)], threads=threads)
+    """run3d's state after 0..steps steps, the box each step was given and the series."""
+    series, states, boxes = _recorded_run(init, BOX_PARAMS, network, BOX_DT, steps * BOX_DT,
+                                          [n * BOX_DT for n in range(steps + 1)],
+                                          threads=threads)
     assert series.steps == list(range(steps + 1)) and len(boxes) == steps
-    return [f.values for f in series.fields], boxes
+    return states, boxes, series
 
 
 def _occupied(values):
@@ -569,6 +584,14 @@ def _box_case(name):
         values[1, 9, 5, 5] = -0.0
     elif name == "all-zero":
         network = bundled_ozone(k2=2.0**-10)
+    elif name == "negative-cell":
+        values[0, 2, 2, 2] = 1.0
+        values[1, 9, 5, 4] = -0.5
+    elif name == "negative-interior":
+        # every interior value of species 1 stays negative, so its box max is
+        # below the +0.0 of the boundary
+        values[0, 6, 4, 4] = 1.0
+        values[1, 1:-1, 1:-1, 1:-1] = -np.random.default_rng(7).uniform(0.5, 1.0, (12, 7, 6))
     return Field(grid, values), network
 
 
@@ -580,10 +603,38 @@ def test_box_run_equals_whole_interior_steps_bitwise(monkeypatch, name, threads)
     monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
     init, network = _box_case(name)
-    got, boxes = _box_run(init, network, 8, threads)
+    got, boxes, _ = _box_run(init, network, 8, threads)
     want = _whole_interior_run(init, network, 8)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     assert boxes[0] is not None
+
+
+def _whole_field_positivity(values):
+    """The first value below -1e-12 * max|values| as one scan of the whole field finds it."""
+    tol = 1e-12 * float(np.abs(values).max())
+    vmin = float(values.min())
+    if not vmin < -tol:
+        return None
+    where = np.argwhere(values < -tol)[0]
+    return {"species": int(where[0]), "cell": tuple(int(i) for i in where[1:]), "value": vmin}
+
+
+@pytest.mark.parametrize("name", ["sparse-1", "sparse-2", "source-outside-support",
+                                  "zero-order-reaction", "negative-cell", "negative-interior"])
+def test_capture_records_equal_whole_field_reductions_bitwise(name):
+    # a capture reduces over the box the last step wrote and folds in the
+    # +0.0 outside it; every record must be what the whole field gives
+    init, network = _box_case(name)
+    states, _, series = _box_run(init, network, 6)
+    for n, state in enumerate(states):
+        assert series.maxima[n].tobytes() == np.array([v.max() for v in state]).tobytes()
+        assert series.minima[n].tobytes() == np.array([v.min() for v in state]).tobytes()
+        assert series.negatives[n] == _whole_field_positivity(state)
+        assert series.l2_norms[n].hex() == l2_norm(Field(init.grid, state)).hex()
+    found = [f for f in series.negatives if f is not None]
+    assert bool(found) == name.startswith("negative"), found
+    assert positivity_check(series) == (
+        (False, {"snapshot": 0, "t": 0.0, **found[0]}) if found else (True, None))
 
 
 @settings(max_examples=40, deadline=None)
@@ -601,7 +652,7 @@ def test_box_holds_every_nonzero_cell_after_each_step(shape, steps, data):
         cell = data.draw(st.tuples(*[st.integers(1, n - 2) for n in shape]))
         network = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=cell)
     init = Field(grid, values)
-    got, boxes = _box_run(init, network, steps)
+    got, boxes, _ = _box_run(init, network, steps)
     want = _whole_interior_run(init, network, steps)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     for state, box in zip(want[1:], boxes):
