@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import math
@@ -350,24 +351,57 @@ def bundled_config_path(name: str) -> Path:
 # output helpers
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text chunks, one after another, to a temp file that then replaces path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
 
 
-def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
-    """Write the header line, then one line per row of Python ints and floats.
+CSV_CHUNK_PIECES = 16384  # line prefixes and value texts joined per write
 
-    A value is written as its repr, which for a Python float is the shortest
-    form that reads back as the same number (numpy scalars must be converted
-    first, by .tolist()).  prefixes, when given, holds the start of each
-    row's line: the text of its leading columns, with their commas.
+
+def _value_text(rows):
+    """Yield each row's value text and newline (see write_csv)."""
+    for row in rows:
+        if not isinstance(row, np.ndarray):
+            yield ",".join(map(repr, row)) + "\n"
+            continue
+        text = [",".join(["0.0"] * row.shape[1]) + "\n"] * len(row)
+        formatted = np.flatnonzero(row.view(np.uint64).any(axis=1))
+        for i, values in zip(formatted.tolist(), row[formatted].tolist()):
+            text[i] = ",".join(map(repr, values)) + "\n"
+        yield from text
+
+
+def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
+    """Write the header line, then one line per row.
+
+    A row is a sequence of Python ints and floats; an item of rows that is a
+    2-D float64 array stands for the array's rows.  A value is written as
+    its repr, which for a Python float is the shortest form that reads back
+    as the same number.  The array rows whose values are all bitwise +0.0
+    share one "0.0,...,0.0" text; only the others (-0.0, NaN and subnormals
+    have other bits) are converted by .tolist() and formatted.  prefixes,
+    when given, holds the start of each row's line: the text of its leading
+    columns, with their commas.  The lines are streamed to the temp file in
+    chunks; no whole-file text is built.
     """
-    lines = (",".join(map(repr, row)) for row in rows)
+    pieces = _value_text(rows)
     if prefixes is not None:
-        lines = map(str.__add__, prefixes, lines)
-    _write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
+        pieces = itertools.chain.from_iterable(zip(prefixes, pieces))
+    chunks = iter(lambda: "".join(itertools.islice(pieces, CSV_CHUNK_PIECES)), "")
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], chunks))
+
+
+@functools.lru_cache(maxsize=1)
+def _slice_prefixes(shape: tuple[int, ...], coords: tuple[bytes, ...] | None) -> tuple[str, ...]:
+    """The "a,b," text that starts each row of a slice: its indices, or the
+    float64 axis values whose bytes coords holds (bytes tell -0.0 from 0.0)."""
+    axes = ([range(n) for n in shape] if coords is None
+            else [np.frombuffer(c).tolist() for c in coords])
+    return tuple(f"{a!r},{b!r}," for a, b in itertools.product(*axes))
 
 
 def write_slice(path: Path, plane: np.ndarray, species: list[str],
@@ -375,13 +409,12 @@ def write_slice(path: Path, plane: np.ndarray, species: list[str],
     """Write a (species, a, b) plane as one CSV row per node.
 
     A row holds the node's two coordinates (its indices, unless coords gives
-    the axis values) and then each species.
+    the axis values) and then each species.  The coordinate text is built
+    once for the run's shape and coordinates, not once per slice.
     """
-    axes = ([range(n) for n in plane.shape[1:]] if coords is None
-            else [c.tolist() for c in coords])
-    prefixes = [f"{a!r},{b!r}," for a, b in itertools.product(*axes)]
-    values = plane.reshape(plane.shape[0], -1).T.tolist()
-    write_csv(path, [*labels, *species], values, prefixes)
+    key = None if coords is None else tuple(np.asarray(c, float).tobytes() for c in coords)
+    write_csv(path, [*labels, *species], [plane.reshape(plane.shape[0], -1).T],
+              _slice_prefixes(plane.shape[1:], key))
 
 
 class Manifest:
@@ -403,7 +436,7 @@ class Manifest:
         self.flush()
 
     def flush(self) -> None:
-        _write_atomic(self.path, json.dumps(self.data, indent=2, default=str) + "\n")
+        _write_atomic(self.path, [json.dumps(self.data, indent=2, default=str) + "\n"])
 
     def finalize(self, status: str, **extra) -> None:
         self.data.update(extra)
@@ -499,9 +532,8 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     log = series.trajectories
     if log.cells:
         cells = [",".join(map(str, cell)) + "," for cell in log.cells]
-        write_csv(out / "trajectories.csv", ["t", "i", "j", "k", *cfg.species],
-                  (conc for block in log.data for conc in block.tolist()),
-                  (f"{t!r},{cell}" for t in log.times for cell in cells))
+        write_csv(out / "trajectories.csv", ["t", "i", "j", "k", *cfg.species], log.data,
+                  (t + cell for t in map("{!r},".format, log.times) for cell in cells))
     updates = cfg.grid.num_cells * len(cfg.species) * step_count(cfg.t_end, cfg.dt)
     ok, violation = positivity_check(series)
     manifest.finalize(

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from adr_lab import ConfigurationError, Field, stability2d, stability3d
 from adr_lab import cli, solver3d
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
-from oracles import csv_field
+from oracles import csv_field, trajectory_rows
 
 COMPARE_SMALL = {
     "mode": "compare",
@@ -631,3 +631,94 @@ def test_slice_writer_matches_value_by_value_formatting(tmp_path, coords):
         for a in range(3) for b in range(2)
     ]
     assert (tmp_path / "s.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def _expected_csv(header, rows) -> str:
+    """The CSV text of rows, formatted value by value."""
+    lines = [",".join(header)] + [",".join(csv_field(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _plane_rows(plane, axes):
+    return [(axes[0][a], axes[1][b], *plane[:, a, b])
+            for a in range(plane.shape[1]) for b in range(plane.shape[2])]
+
+
+# node rows of a (3, 4, 3) plane: all +0.0, all -0.0, and one -0.0, subnormal,
+# nan, inf, -inf or ordinary value among +0.0, then +0.0 rows
+ZERO_ROW_CASES = np.zeros((12, 3))
+ZERO_ROW_CASES[1] = -0.0
+ZERO_ROW_CASES[2, 1] = -0.0
+ZERO_ROW_CASES[3, 2] = 5e-324
+ZERO_ROW_CASES[4, 0] = float("nan")
+ZERO_ROW_CASES[5, 1] = float("inf")
+ZERO_ROW_CASES[6, 2] = float("-inf")
+ZERO_ROW_CASES[7, 0] = 1.5
+
+
+@pytest.mark.parametrize("plane", [ZERO_ROW_CASES.T.reshape(3, 4, 3), np.zeros((3, 4, 3))],
+                         ids=["mixed-rows", "zero-plane"])
+@pytest.mark.parametrize("coords", [None, (np.array([0.0, -0.0, 5e-324, 1e16]),
+                                           np.array([0.1, 0.2, 0.30000000000000004]))])
+def test_slice_writer_zero_rows_match_value_by_value_formatting(tmp_path, plane, coords):
+    cli.write_slice(tmp_path / "s.csv", plane, ["A", "B", "C"], ("x", "y"), coords)
+    axes = coords or (range(4), range(3))
+    assert (tmp_path / "s.csv").read_text() == \
+        _expected_csv(["x", "y", "A", "B", "C"], _plane_rows(plane, axes))
+
+
+def test_slice_prefixes_follow_shape_and_coordinate_bits(tmp_path):
+    # same shape, coordinates that differ (the first only in the sign of
+    # zero), then a transposed shape: each slice gets its own row text
+    planes_coords = [
+        (np.ones((1, 2, 2)), (np.array([0.0, 1.0]), np.array([0.0, 2.0]))),
+        (np.ones((1, 2, 2)), (np.array([-0.0, 1.0]), np.array([0.0, 2.0]))),
+        (np.ones((1, 2, 2)), (np.array([-0.0, 1.0]), np.array([0.0, 3.0]))),
+        (np.ones((1, 2, 3)), None),
+        (np.ones((1, 3, 2)), None),
+    ]
+    for n, (plane, coords) in enumerate(planes_coords):
+        path = tmp_path / f"s{n}.csv"
+        cli.write_slice(path, plane, ["A"], ("x", "y"), coords)
+        axes = coords or [range(k) for k in plane.shape[1:]]
+        assert path.read_text() == _expected_csv(["x", "y", "A"], _plane_rows(plane, axes))
+
+
+def test_trajectory_writer_matches_value_by_value_formatting(tmp_path, monkeypatch):
+    # the tracked cells are 9 and 18 cells (L1) from the point release, so
+    # the plume reaches neither before step 9: samples 0-8 are all +0.0
+    payload = json.loads(json.dumps(SIM3D_SMALL))
+    payload["trajectories"] = {"stride": 2, "cells": [[4, 4, 4], [7, 7, 7]]}
+    logs, run3d = [], cli.run3d
+
+    def run_and_plant(*args, **kwargs):
+        series = run3d(*args, **kwargs)
+        log = series.trajectories
+        log.data[1] = np.array([[-0.0, 0.0, 0.0], [0.0, 5e-324, float("nan")]])
+        logs.append(log)
+        return series
+
+    monkeypatch.setattr(cli, "run3d", run_and_plant)
+    assert execute(parse_config(write_cfg(tmp_path, payload)), tmp_path / "out") == 0
+    (log,) = logs
+    assert len(log.data) == 6
+    assert not log.data[2].any() and log.data[-1].any()
+    assert (tmp_path / "out" / "trajectories.csv").read_text() == \
+        _expected_csv(["t", "i", "j", "k", "NO", "NO2", "O3"], trajectory_rows(log))
+
+
+def test_csv_writer_streams_lines_to_the_temp_file(tmp_path):
+    # halfway through the rows, earlier lines are already in the temp file:
+    # the writer never holds the whole file's text
+    path = tmp_path / "big.csv"
+    tmp = path.with_name(path.name + ".tmp")
+
+    def rows():
+        for n in range(100_000):
+            if n == 50_000:
+                assert tmp.exists() and tmp.stat().st_size > 0
+            yield (n, 0.5)
+
+    cli.write_csv(path, ["n", "v"], rows())
+    assert not tmp.exists()
+    assert path.read_text() == "n,v\n" + "".join(f"{n},0.5\n" for n in range(100_000))
