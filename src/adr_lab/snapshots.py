@@ -12,8 +12,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import grid
 from .errors import ConfigurationError, DivergenceError, StabilityError
-from .grid import Field, zero_dirichlet
+from .grid import Field
 
 if TYPE_CHECKING:
     from .diagnostics import TrajectoryLog
@@ -81,6 +82,9 @@ class SnapshotSeries:
     2-D series keeps a copy of each field in fields; a 3-D one sets plane,
     the index of the 2-D slice it reports, keeps a copy of the values there
     in slices, and sets trajectories, the log of its tracked cells.
+    squares holds the squares of the last boxed capture, +0.0 outside every
+    box so far; np.zeros allocates it at the first, so its pages that no box
+    reaches are never touched.
     """
 
     requested_times: list[float]
@@ -96,16 +100,20 @@ class SnapshotSeries:
     chemistry_rate_scale: float = 0.0  # 3-D runs with chemistry only
     plane: tuple | None = None
     trajectories: TrajectoryLog | None = None
+    squares: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def append(self, step: int, time: float, snapshot: Field, box=None) -> None:
         """Record snapshot, which the caller may change afterwards.
 
         box, per-axis slices of the interior, says that every value outside
         it is +0.0; the maxima and minima then reduce over box and fold in
-        +0.0, which gives the numbers of a reduction over the whole field.
+        +0.0, which gives the numbers of a reduction over the whole field,
+        and l2_norm squares only the box.  So boxes must never shrink.
         """
         from .diagnostics import l2_norm  # looked up per call: perfbench patches it
         v = snapshot.values
+        if box is not None and self.squares is None:
+            self.squares = np.zeros(v.shape)
         inside = v if box is None else v[(slice(None), *box)]
         axes, fold = tuple(range(1, v.ndim)), {} if box is None else {"initial": 0.0}
         hi, lo = inside.max(axis=axes, **fold), inside.min(axis=axes, **fold)
@@ -120,7 +128,7 @@ class SnapshotSeries:
         self.maxima.append(hi)
         self.minima.append(lo)
         self.negatives.append(found)
-        self.l2_norms.append(l2_norm(snapshot))
+        self.l2_norms.append(l2_norm(snapshot, box, self.squares))
         if self.plane is None:
             self.fields.append(snapshot.copy())
         else:
@@ -170,7 +178,7 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
         box = advance(field, spare, t)
         field, spare = spare, field
         if step == 0:
-            zero_dirichlet(spare)
+            grid.zero_dirichlet(spare)  # looked up per call: perfbench patches it
         step += 1
         written = field.values if box is None else field.values[(slice(None), *box)]
         if not np.isfinite(written).all():

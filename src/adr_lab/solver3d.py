@@ -207,7 +207,7 @@ def _initial_box(initial: Field, network: ReactionNetwork | None) -> tuple[slice
     if network is not None and not network.loss.any(axis=0).all():
         return tuple(slice(0, n) for n in shape)
     v = initial.values
-    occupied = ((v != 0) | np.signbit(v)).any(axis=0)
+    occupied = v.view(np.uint64).any(axis=0)  # bitwise non-zero, in one pass
     sources = network.sources if network is not None else ()
     box = []
     for axis, n in enumerate(shape):

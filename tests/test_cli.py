@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from adr_lab import ConfigurationError, Field, stability2d, stability3d
+from adr_lab import ConfigurationError, Field, stability2d, stability3d, zero_dirichlet
 from adr_lab import cli, solver3d
 from adr_lab.cli import bundled_config_path, execute, main, parse_config
 from oracles import csv_field, trajectory_rows
@@ -183,6 +183,27 @@ def test_simulate3d_copies_no_snapshot(tmp_path, monkeypatch):
     assert len(copies) == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["snapshot_steps"] == [0, 2, 5, 7, 10]
+
+
+@pytest.mark.parametrize("payload, cell", [
+    (dict(COMPARE_SMALL, mode="simulate2d"), [1, 1]),
+    (dict(COMPARE_SMALL, mode="simulate2d"), [14, 14]),
+    (SIM3D_SMALL, [1, 1, 1]),
+    (SIM3D_SMALL, [7, 6, 7]),
+])
+def test_point_initial_field_equals_the_boundary_zeroed_field(tmp_path, payload, cell):
+    # the point cell is interior, so the field is built without a boundary
+    # pass and must equal, byte for byte, what zeroing its boundary gives
+    payload = json.loads(json.dumps(payload))
+    species = len(payload.get("chemistry", {}).get("species", [None]))
+    values = [2.5, -0.0, 5e-324][:species]
+    payload["initial"] = {"kind": "point", "cell": cell, "values": values}
+    cfg = parse_config(write_cfg(tmp_path, payload))
+    want = Field.zeros(cfg.grid, species)
+    for s, v in enumerate(cfg.initial_values):
+        want.values[(s, *cell)] = v
+    zero_dirichlet(want)
+    assert cli._initial_field(cfg).values.tobytes() == want.values.tobytes()
 
 
 def test_analytic_mode_writes_coefficients(tmp_path):

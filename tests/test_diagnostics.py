@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from adr_lab import (
     sample_series,
 )
 from adr_lab.snapshots import SnapshotSeries
+from adr_lab.solver3d import _grow
 from oracles import (boundedness_check, compute_dbar, max_pairwise_distance, trajectory_points,
                      trajectory_rows)
 
@@ -41,6 +43,70 @@ def test_l2_norm_3d_weighting():
     field = Field.zeros(grid)
     field.values[0, 1, 1, 1] = 4.0
     assert l2_norm(field) == pytest.approx(math.sqrt(16.0 * 1.0), rel=1e-14)
+
+
+def _growing_boxes(shape, start, count):
+    """count boxes from start, each grown as run3d grows its box after a step."""
+    boxes = [start]
+    for _ in range(count - 1):
+        boxes.append(_grow(boxes[-1], shape))
+    return boxes
+
+
+def _boxed_captures(grid, boxes, rng):
+    """A step-0 field non-zero on the boundary, then one field per box, +0.0 outside it."""
+    first = rng.uniform(-1.0, 2.0, size=(3, *grid.shape))
+    fields = [first]
+    for box in boxes:
+        values = np.zeros((3, *grid.shape))
+        inside = (slice(None), *box)
+        values[inside] = rng.uniform(-1.0, 2.0, size=values[inside].shape)
+        corner = tuple(b.start for b in box)
+        values[(0, *corner)] = -0.0
+        values[(1, *corner)] = 5e-324
+        fields.append(values)
+    return fields
+
+
+def test_boxed_l2_norm_equals_whole_field_norm_bitwise(monkeypatch):
+    # a recycled allocation holds garbage; make every np.empty hand one back
+    real_empty = np.empty
+
+    def recycled(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", recycled)
+    grid = Grid((12, 11, 10), (1.0, 2.0, 3.0))
+    boxes = _growing_boxes(grid.shape, (slice(5, 7), slice(5, 6), slice(4, 6)), 6)
+    boxes.insert(2, boxes[1])  # a box may also stay the same
+    series = SnapshotSeries(requested_times=[0.0], plane=(slice(None), 4))
+    fields = _boxed_captures(grid, boxes, np.random.default_rng(5))
+    for n, (values, box) in enumerate(zip(fields, [None, *boxes])):
+        series.append(n, float(n), Field(grid, values), box)
+        want = l2_norm(Field(grid, values.copy()))
+        assert series.l2_norms[n].hex() == want.hex(), n
+    assert series.squares.tobytes() == (fields[-1] ** 2).tobytes()
+
+
+def test_boxed_capture_allocates_no_full_field_temporary():
+    # the squares buffer is allocated once, on the first boxed capture; a
+    # later capture must not allocate anything near the field's size
+    grid = Grid((41, 41, 41), (1.0, 1.0, 1.0))
+    boxes = _growing_boxes(grid.shape, (slice(18, 23),) * 3, 3)
+    series = SnapshotSeries(requested_times=[0.0], plane=(slice(None), slice(None), 20))
+    fields = _boxed_captures(grid, boxes, np.random.default_rng(8))
+    for n in range(2):
+        series.append(n, float(n), Field(grid, fields[n]), [None, *boxes][n])
+    tracemalloc.start()
+    try:
+        series.append(2, 2.0, Field(grid, fields[2]), boxes[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fields[2].nbytes / 4, (peak, fields[2].nbytes)
 
 
 def test_error_report_zero_for_exact_samples():

@@ -661,6 +661,16 @@ def test_box_holds_every_nonzero_cell_after_each_step(shape, steps, data):
         assert not (_occupied(state) & ~inside).any(), box
 
 
+@pytest.mark.parametrize("value", [-0.0, np.nan, 5e-324, -np.inf])
+def test_initial_box_counts_every_bitwise_non_zero_value(value):
+    grid = _spaced_grid((9, 8, 7))
+    values = np.zeros((3, *grid.shape))
+    values[1, 2, 3, 4] = 1.0
+    values[2, 6, 0, 5] = value  # on the boundary, below the other cell's box
+    box = solver3d._initial_box(Field(grid, values), None)
+    assert box == (slice(2, 7), slice(0, 4), slice(4, 6))
+
+
 def test_step_writes_nothing_outside_its_box(monkeypatch):
     monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
