@@ -8,74 +8,15 @@ diagnostics for error, convergence order, positivity and L2 norms.
 
 __version__ = "0.1.0"
 
-from .analytic2d import (
-    SeriesSolution,
-    build_series,
-    default_quad_points,
-    sample_series,
-)
-from .chemistry import (
-    ConstantRate,
-    PhotolysisK1,
-    PointSource,
-    ReactionNetwork,
-)
-from .diagnostics import (
-    ErrorReport,
-    TrajectoryLog,
-    convergence_order,
-    estimate_order,
-    l2_norm,
-    max_error_vs_analytic,
-    positivity_check,
-)
-from .errors import (
-    AdrLabError,
-    ConfigurationError,
-    DivergenceError,
-    InputError,
-    NumericError,
-    StabilityError,
-)
-from .grid import Field, Grid, TransportParams, sample_initial_2d, zero_dirichlet
-from .snapshots import SnapshotSeries, Stability, snapshot_steps
-from .solver2d import run2d, stability2d, step2d
-from .solver3d import run3d, stability3d, step3d
+from .analytic2d import *
+from .chemistry import *
+from .diagnostics import *
+from .errors import *
+from .grid import *
+from .snapshots import *
+from .solver2d import *
+from .solver3d import *
 
-__all__ = [
-    "AdrLabError",
-    "ConfigurationError",
-    "ConstantRate",
-    "DivergenceError",
-    "ErrorReport",
-    "Field",
-    "Grid",
-    "InputError",
-    "NumericError",
-    "PhotolysisK1",
-    "PointSource",
-    "ReactionNetwork",
-    "SeriesSolution",
-    "SnapshotSeries",
-    "Stability",
-    "StabilityError",
-    "TrajectoryLog",
-    "TransportParams",
-    "build_series",
-    "convergence_order",
-    "default_quad_points",
-    "estimate_order",
-    "l2_norm",
-    "max_error_vs_analytic",
-    "positivity_check",
-    "run2d",
-    "run3d",
-    "sample_initial_2d",
-    "sample_series",
-    "snapshot_steps",
-    "stability2d",
-    "stability3d",
-    "step2d",
-    "step3d",
-    "zero_dirichlet",
-]
+# importing a submodule binds its name here, so its list can be read
+__all__ = [*analytic2d.__all__, *chemistry.__all__, *diagnostics.__all__, *errors.__all__,
+           *grid.__all__, *snapshots.__all__, *solver2d.__all__, *solver3d.__all__]

@@ -34,6 +34,7 @@ __all__ = [
     "build_series",
     "sample_series",
     "coefficient_rows",
+    "default_quad_points",
 ]
 
 _PANEL_POINTS = 8  # Gauss-Legendre nodes per composite panel
@@ -69,8 +70,6 @@ def _weighted_samples(
     """
     if not (k > 0):
         raise ConfigurationError(f"diffusivity must be positive, got {k}")
-    if quad_points < 16:
-        raise InputError(f"quad_points must be >= 16, got {quad_points}")
     x, w = _composite_gauss(quad_points)
     fv = np.empty((x.size, x.size))
     fv[...] = f(x[:, None], x[None, :])

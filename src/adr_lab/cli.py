@@ -606,22 +606,16 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
-def _check_threads(threads) -> None:
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigurationError(f"--threads: must be an integer >= 1, got {threads!r}")
-
-
 def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
             override_stability: bool = False) -> int:
     """Dispatch a validated config; returns the process exit code.
 
     threads below 1 exits 1 before the manifest is written.
     """
-    try:
-        _check_threads(threads)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    if not isinstance(threads, int) or threads < 1:
+        print(f"error: --threads: must be an integer >= 1, got {threads!r}",
+              file=sys.stderr)
+        return 1
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out, cfg, threads)
@@ -654,12 +648,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _check_threads(args.threads)
         if Path(args.target).is_file():
             cfg = parse_config(args.target)
         elif args.target in MODES:
             if not args.config:
-                parser.error(f"mode {args.target!r} requires --config")
+                raise ConfigurationError(f"mode {args.target!r} requires --config")
             cfg = parse_config(args.config, mode=args.target)
         else:
             raise ConfigurationError(

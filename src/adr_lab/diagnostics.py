@@ -52,7 +52,6 @@ class ErrorReport:
     t: float
     max_abs_error: float
     l2_error: float
-    grid_shape: tuple[int, ...]
 
 
 def max_error_vs_analytic(numeric: Field, sol: SeriesSolution, t: float) -> ErrorReport:
@@ -66,7 +65,6 @@ def max_error_vs_analytic(numeric: Field, sol: SeriesSolution, t: float) -> Erro
         t=t,
         max_abs_error=float(np.abs(diff.values).max()),
         l2_error=l2_norm(diff),
-        grid_shape=grid.shape,
     )
 
 

@@ -5,6 +5,9 @@ NumericError and its DivergenceError to exit 2, StabilityError to exit 3.
 Each class carries its code as `exit_code`.
 """
 
+__all__ = ["AdrLabError", "ConfigurationError", "InputError", "NumericError",
+           "DivergenceError", "StabilityError"]
+
 
 class AdrLabError(Exception):
     """Base class for all errors raised by this package."""

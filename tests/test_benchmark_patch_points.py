@@ -9,6 +9,7 @@ expects records no calls.
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from adr_lab import Field, Grid, TransportParams, run2d, run3d
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "adr_lab"
+SHIM = re.compile(r"^from \.(\w+) import (.+?)  # noqa: F401 \(patched by perfbench/tracing\.py\)$")
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
@@ -40,6 +43,20 @@ def test_benchmark_patch_point_resolves(layer, module_name, attr):
     assert getattr(owner, leaf) is fn and callable(fn)
     # resolving must not have installed a wrapper
     assert not hasattr(fn, "__wrapped__")
+
+
+def test_every_benchmark_shim_import_is_a_patch_point():
+    # an import kept only for the benchmark to patch must still be patched
+    shims = [
+        (f"adr_lab.{path.stem}", name.strip())
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if (match := SHIM.match(line))
+        for name in match.group(2).split(",")
+    ]
+    assert shims, "no shim imports found; the marker comment changed?"
+    points = {(module_name, attr) for _, module_name, attr in tracing.PATCH_POINTS}
+    assert [shim for shim in shims if shim not in points] == []
 
 
 def test_retained_bytes_reads_fields_and_slices_of_run_results():

@@ -416,9 +416,9 @@ def test_main_rejects_unknown_target(capsys):
     assert "neither" in capsys.readouterr().err
 
 
-def test_main_mode_requires_config():
-    with pytest.raises(SystemExit):
-        main(["compare"])
+def test_main_mode_requires_config(capsys):
+    assert main(["compare"]) == 1
+    assert "error: mode 'compare' requires --config" in capsys.readouterr().err
 
 
 def test_main_with_config_path(tmp_path, capsys):

@@ -5,7 +5,10 @@ import pytest
 
 import adr_lab
 
-MODULES = ["adr_lab", *(f"adr_lab.{m.name}" for m in pkgutil.iter_modules(adr_lab.__path__))]
+SUBMODULES = [f"adr_lab.{m.name}" for m in pkgutil.iter_modules(adr_lab.__path__)]
+MODULES = ["adr_lab", *SUBMODULES]
+# every submodule but the CLI is re-exported by the package
+LIBRARY = [m for m in SUBMODULES if m != "adr_lab.cli"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -15,3 +18,12 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+def test_package_exports_each_library_module_list():
+    lists = [getattr(importlib.import_module(m), "__all__", None) for m in LIBRARY]
+    assert [m for m, names in zip(LIBRARY, lists) if names is None] == []
+    joined = [name for names in lists for name in names]
+    # one owner per public name
+    assert sorted({n for n in joined if joined.count(n) > 1}) == []
+    assert adr_lab.__all__ == joined
