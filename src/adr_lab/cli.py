@@ -7,8 +7,8 @@ Usage:
 The positional argument is either a path to a YAML config file or a mode
 name (analytic2d | simulate2d | simulate3d | compare | converge |
 trajectories) combined with --config.  Every run writes a manifest.json
-(created before the first snapshot, finalized at exit, present even for
-failed runs) plus mode-specific CSV artifacts.  All outputs are written
+(written when the run starts and again at exit, present even for failed
+runs) plus mode-specific CSV artifacts.  All outputs are written
 atomically (temp file + rename) and are bit-reproducible: --threads N steps
 the x-plane blocks of each 3-D step on up to N threads of a pool, and the
 outputs are bit-identical for every N.
@@ -60,14 +60,19 @@ CM3_PER_M3 = 1.0e6
 
 
 def _check(value, typ, where: str):
-    """value as a typ (an int is taken for a float); list[T] checks each entry."""
+    """value as a typ (an int is taken for a float); list[T] checks each entry.
+
+    A float must be finite and >= 0, as the paper's results assume of all data.
+    """
     base = getattr(typ, "__origin__", typ)
-    if base is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+    if base is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, base) or isinstance(value, bool) and base is not bool:
         raise ConfigurationError(
             f"{where}: expected {base.__name__}, got {type(value).__name__}"
         )
+    if base is float and not 0.0 <= value < math.inf:
+        raise ConfigurationError(f"{where}: must be finite and >= 0, got {value}")
     if base is not typ:
         (item,) = typ.__args__
         return [_check(v, item, f"{where}[{i}]") for i, v in enumerate(value)]
@@ -182,8 +187,8 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
             # A rate constant quoted for per-cm3 concentrations rescales by
             # the cell volume once per reactant beyond the first.
             order = int(loss[:, kappa].sum())
-            value *= factor ** (1 - order)
-            rates.append(ConstantRate(value))
+            rates.append(ConstantRate(_check(value * factor ** (1 - order), float,
+                                             path + "rate.value in model units")))
         elif kind == "photolysis_k1":
             rates.append(PhotolysisK1())
         else:
@@ -198,7 +203,8 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
         if name not in index:
             raise ConfigurationError(f"{path}species: unknown species {name!r}")
         cell = grid.interior_cell(_get(src, "cell", path, list), path + "cell")
-        rate = _get(src, "rate", path, float) * factor
+        rate = _check(_get(src, "rate", path, float) * factor, float,
+                      path + "rate in model units")
         sources.append(PointSource(species=index[name], cell=cell, rate=rate))
     return ReactionNetwork(
         species=tuple(species), loss=loss, gain=gain,
@@ -233,8 +239,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     units = _get(cfg, "units", "", dict, default={})
     input_unit = _get(units, "input", "units.", str, default="model")
     if input_unit == "per_cm3":
-        unit_factor = _get(units, "cell_volume_m3", "units.", float,
-                           positive=True) * CM3_PER_M3
+        unit_factor = _check(_get(units, "cell_volume_m3", "units.", float, positive=True)
+                             * CM3_PER_M3, float, "units.cell_volume_m3 in cm3")
     elif input_unit == "model":
         unit_factor = 1.0
     else:
@@ -250,11 +256,7 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     timed = mode != "analytic2d"
     tblock = _get(cfg, "time", "", dict, _REQUIRED if timed else {})
     dt = _get(tblock, "dt", "time.", float, _REQUIRED if timed else 0.0, positive=True)
-    if not dt < math.inf:
-        raise ConfigurationError(f"time.dt: must be finite, got {dt}")
     t_end = _get(tblock, "t_end", "time.", float, default=0.0)
-    if not 0.0 <= t_end < math.inf:
-        raise ConfigurationError(f"time.t_end: must be finite and >= 0, got {t_end}")
     snapshot_times = _get(tblock, "snapshots", "time.", list[float], default=[]) or [t_end]
 
     # The first kind is the default.
@@ -274,7 +276,8 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     if initial_kind == "point":
         fields["initial_cell"] = grid.interior_cell(_get(iblock, "cell", "initial.", list),
                                                     "initial.cell")
-        values = [v * unit_factor for v in _get(iblock, "values", "initial.", list[float])]
+        values = [_check(v * unit_factor, float, f"initial.values[{i}] in model units")
+                  for i, v in enumerate(_get(iblock, "values", "initial.", list[float]))]
         if len(values) != len(species):
             raise ConfigurationError(
                 f"initial.values: expected {len(species)} entries, got {len(values)}"
@@ -418,33 +421,6 @@ def write_slice(path: Path, plane: np.ndarray, species: list[str],
               _slice_prefixes(plane.shape[1:], key))
 
 
-class Manifest:
-    """Run manifest: written up front, finalized (atomically) at exit."""
-
-    def __init__(self, out_dir: Path, config: RunConfig, threads: int):
-        self.path = out_dir / "manifest.json"
-        self.data = {
-            "tool": "adr-lab",
-            "version": __version__,
-            "config": config.raw,
-            "mode": config.mode,
-            # the threads a step runs on: a 2-D step runs on one
-            "threads": step_threads(config.grid.shape[0], threads)
-            if config.grid.ndim == 3 else 1,
-            "unit_factor": config.unit_factor,
-            "status": "running",
-        }
-        self.flush()
-
-    def flush(self) -> None:
-        _write_atomic(self.path, [json.dumps(self.data, indent=2, default=str) + "\n"])
-
-    def finalize(self, status: str, **extra) -> None:
-        self.data.update(extra)
-        self.data["status"] = status
-        self.flush()
-
-
 # ---------------------------------------------------------------------------
 # mode runners
 
@@ -466,11 +442,11 @@ def _initial_field(cfg: RunConfig) -> Field:
     return field
 
 
-def _simulate(cfg: RunConfig, manifest: Manifest, override: bool, threads: int):
+def _simulate(cfg: RunConfig, override: bool, threads: int):
     """Run the scheme of the grid's dimension from the configured initial field.
 
-    threads steps the x-plane blocks of each 3-D step in parallel.  Records the stability report
-    in the manifest and returns the SnapshotSeries.
+    threads steps the x-plane blocks of each 3-D step in parallel.  Returns
+    the SnapshotSeries and the manifest keys every simulating run reports.
     """
     initial = _initial_field(cfg)
     if cfg.grid.ndim == 2:
@@ -484,9 +460,8 @@ def _simulate(cfg: RunConfig, manifest: Manifest, override: bool, threads: int):
             trajectory_stride=cfg.trajectory_stride, override_stability=override,
             alpha=cfg.alpha, threads=threads,
         )
-    manifest.data["stability"] = series.stability.as_dict()
-    manifest.flush()
-    return series
+    return series, {"stability": series.stability.as_dict(),
+                    "snapshot_steps": series.steps, "snapshot_times": series.times}
 
 
 def _series(cfg: RunConfig):
@@ -495,38 +470,33 @@ def _series(cfg: RunConfig):
                         M=cfg.series_m, N=cfg.series_n)
 
 
-def _run_analytic2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
-                    threads: int) -> None:
+def _run_analytic2d(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
     sol = _series(cfg)
     write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
     for t in cfg.snapshot_times:
         field = sample_series(sol, cfg.grid, t)
         write_slice(out / f"series_t{t!r}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
-    manifest.finalize("ok", series={"M": sol.M, "N": sol.N})
+    return {"series": {"M": sol.M, "N": sol.N}}
 
 
-def _run_simulate2d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
-                    threads: int) -> None:
-    series = _simulate(cfg, manifest, override, threads)
+def _run_simulate2d(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
+    series, keys = _simulate(cfg, override, threads)
     for step, field in zip(series.steps, series.fields):
         write_slice(out / f"snap_t{step}.csv", field.values, cfg.species,
                     ("x", "y"), cfg.grid.coords())
     ok, violation = positivity_check(series)
-    manifest.finalize(
-        "ok",
-        snapshot_steps=series.steps,
-        snapshot_times=series.times,
+    return dict(
+        keys,
         positivity={"ok": ok, "violation": violation},
         max_abs=[float(np.maximum(abs(hi), abs(lo)).max())
                  for hi, lo in zip(series.maxima, series.minima)],
     )
 
 
-def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
-                    threads: int) -> None:
+def _run_simulate3d(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
     t0 = time.perf_counter()
-    series = _simulate(cfg, manifest, override, threads)
+    series, keys = _simulate(cfg, override, threads)
     wall = time.perf_counter() - t0
     for step, plane in zip(series.steps, series.slices):
         write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
@@ -537,10 +507,8 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
                   (t + cell for t in map("{!r},".format, log.times) for cell in cells))
     updates = cfg.grid.num_cells * len(cfg.species) * step_count(cfg.t_end, cfg.dt)
     ok, violation = positivity_check(series)
-    manifest.finalize(
-        "ok",
-        snapshot_steps=series.steps,
-        snapshot_times=series.times,
+    return dict(
+        keys,
         wall_seconds=wall,
         cell_updates_per_second=updates / wall if wall > 0 else None,
         chemistry_rate_scale=series.chemistry_rate_scale,
@@ -556,10 +524,9 @@ def _run_simulate3d(cfg: RunConfig, out: Path, manifest: Manifest, override: boo
     )
 
 
-def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
-                 threads: int) -> None:
+def _run_compare(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
     sol = _series(cfg)
-    series = _simulate(cfg, manifest, override, threads)
+    series, keys = _simulate(cfg, override, threads)
     reports = [
         max_error_vs_analytic(field, sol, t)
         for t, field in zip(series.times, series.fields)
@@ -567,16 +534,10 @@ def _run_compare(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
     write_csv(out / "error_report.csv",
               ["t", "max_abs_error", "l2_error"],
               [(r.t, r.max_abs_error, r.l2_error) for r in reports])
-    manifest.finalize(
-        "ok",
-        snapshot_steps=series.steps,
-        snapshot_times=series.times,
-        max_errors=[r.max_abs_error for r in reports],
-    )
+    return dict(keys, max_errors=[r.max_abs_error for r in reports])
 
 
-def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
-                  threads: int) -> None:
+def _run_converge(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
     sol = _series(cfg)
     base_dx = cfg.grid.spacing[0]
     levels = []
@@ -591,7 +552,7 @@ def _run_converge(cfg: RunConfig, out: Path, manifest: Manifest, override: bool,
               [(g.shape[0], g.spacing[0], dt, r.max_abs_error)
                for (g, dt), r in zip(levels, reports)])
     print(f"measured spatial order: {order:.4f}")
-    manifest.finalize("ok", measured_order=order)
+    return {"measured_order": order}
 
 
 # Each mode's runner, in the order the CLI lists the modes.
@@ -610,7 +571,9 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
             override_stability: bool = False) -> int:
     """Dispatch a validated config; returns the process exit code.
 
-    threads below 1 exits 1 before the manifest is written.
+    The one writer of manifest.json: it is written (atomically) when the run
+    starts, with status "running", and again at exit with the keys the mode
+    runner returns or the error.  threads below 1 exits 1 before it is written.
     """
     if not isinstance(threads, int) or threads < 1:
         print(f"error: --threads: must be an integer >= 1, got {threads!r}",
@@ -618,17 +581,33 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
         return 1
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out, cfg, threads)
+    manifest = {
+        "tool": "adr-lab",
+        "version": __version__,
+        "config": cfg.raw,
+        "mode": cfg.mode,
+        # the threads a step runs on: a 2-D step runs on one
+        "threads": step_threads(cfg.grid.shape[0], threads) if cfg.grid.ndim == 3 else 1,
+        "unit_factor": cfg.unit_factor,
+        "status": "running",
+    }
+
+    def write_manifest():
+        _write_atomic(out / "manifest.json", [json.dumps(manifest, indent=2, default=str) + "\n"])
+
+    write_manifest()
     try:
-        _RUNNERS[cfg.mode](cfg, out, manifest, override_stability, threads)
+        manifest.update(_RUNNERS[cfg.mode](cfg, out, override_stability, threads), status="ok")
     except AdrLabError as exc:
-        manifest.finalize("failed", error=str(exc), **exc.manifest_fields())
+        manifest.update(status="failed", error=str(exc), **exc.manifest_fields())
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:
         # an unexpected fault still leaves a finalized manifest behind
-        manifest.finalize("failed", error=f"{type(exc).__name__}: {exc}")
+        manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         raise
+    finally:
+        write_manifest()
     return 0
 
 

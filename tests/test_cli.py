@@ -71,6 +71,7 @@ SMALL_RUNS = {
 }
 
 SMALL_DIGESTS = Path(__file__).parent / "data" / "small_digests.json"
+NAN, INF = float("nan"), float("inf")
 
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
@@ -240,6 +241,11 @@ def test_divergence_exit_code(tmp_path):
     assert manifest["status"] == "failed"
 
 
+# keys the 3-D run checks after the manifest is written (see the README)
+CHECKED_WHEN_THE_RUN_STARTS = {"trajectories.cells[0]", "slice.axis", "slice.index",
+                               "time.snapshots"}
+
+
 @pytest.mark.parametrize("path, value, key", [
     (("chemistry", "sources", 0, "cell"), [20, 1, 1], "chemistry.sources[0].cell"),
     (("chemistry", "sources", 0, "cell"), [1, 1], "chemistry.sources[0].cell"),
@@ -264,13 +270,30 @@ def test_divergence_exit_code(tmp_path):
     (("time", "snapshots"), [4.0, 0.0], "time.snapshots"),
     (("time", "snapshots"), [9.0], "time.snapshots"),
     (("time", "t_end"), -3, "time.t_end"),
+    (("grid", "Lx"), INF, "grid.Lx"),
+    (("time", "snapshots"), [NAN], "time.snapshots[0]"),
+    (("time", "snapshots"), [-1.0, 4.0], "time.snapshots[0]"),
+    (("chemistry", "sources", 0, "rate"), -1.0, "chemistry.sources[0].rate"),
+    (("chemistry", "sources", 0, "rate"), NAN, "chemistry.sources[0].rate"),
+    (("chemistry", "sources", 0, "rate"), 1e303, "chemistry.sources[0].rate"),
+    (("initial", "values"), [-5.0, 1.0, 1.0], "initial.values[0]"),
+    (("initial", "values"), [1.0, INF, 1.0], "initial.values[1]"),
+    (("initial", "values"), [1e303, 1.0, 1.0], "initial.values[0]"),
+    (("units", "cell_volume_m3"), INF, "units.cell_volume_m3"),
+    (("transport", "u"), [INF, 1.0, 1.0], "transport.u[0]"),
+    (("transport", "u"), [10**400, 1, 1], "transport.u[0]"),
+    (("transport", "k"), [NAN, 2e-5, 2e-5], "transport.k[0]"),
 ], ids=["source-outside", "source-2-indices", "source-on-boundary",
         "initial-negative", "tracked-2-indices", "dt-zero", "stride-zero",
         "stride-negative", "cell-spacing-zero", "sine-product-3d", "u-not-number",
         "loss-fraction", "cell-volume-zero", "units-inputs-typo", "time-snapshot-typo",
         "stride-typo", "photolysis-value-unread", "slice-axis-unknown",
         "slice-index-outside", "snapshots-unsorted", "snapshot-after-t-end",
-        "t-end-negative"])
+        "t-end-negative", "lx-infinite", "snapshot-nan", "snapshot-negative",
+        "source-rate-negative", "source-rate-nan", "source-rate-overflows-when-scaled",
+        "initial-value-negative", "initial-value-infinite",
+        "initial-value-overflows-when-scaled", "cell-volume-infinite", "u-infinite",
+        "u-int-beyond-float", "k-nan"])
 def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     raw = yaml.safe_load(bundled_config_path("ozone-3d.yaml").read_text())
     raw["grid"].update(nx=11, ny=11, nz=11)
@@ -283,8 +306,11 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     assert main([str(write_cfg(tmp_path, raw)), "--out-dir", str(out)]) == 1
     assert key in capsys.readouterr().err
     manifest = out / "manifest.json"
-    # parse-time rejections stop before the manifest is written
-    assert not manifest.exists() or json.loads(manifest.read_text())["status"] == "failed"
+    if key in CHECKED_WHEN_THE_RUN_STARTS:
+        assert json.loads(manifest.read_text())["status"] == "failed"
+    else:
+        # parse-time rejections stop before the manifest is written
+        assert not manifest.exists()
 
 
 @pytest.mark.parametrize("mode, path, value, key", [
@@ -310,13 +336,19 @@ def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     ("simulate2d", ("time", "t_end"), float("inf"), "time.t_end"),
     ("simulate2d", ("time", "dt"), float("inf"), "time.dt"),
     ("compare", ("series", "quad_points"), 8, "series.quad_points"),
+    ("simulate2d", ("grid", "Lx"), INF, "grid.Lx"),
+    ("simulate2d", ("time", "snapshots"), [NAN], "time.snapshots[0]"),
+    ("simulate2d", ("initial",), {"kind": "point", "cell": [3, 3], "values": [-5.0]},
+     "initial.values[0]"),
+    ("simulate2d", ("transport", "k"), [0.5, NAN], "transport.k[1]"),
 ], ids=["nx-levels-not-int", "initial-kind-unknown", "nx-levels-repeated",
         "nx-levels-decreasing", "compare-zero-initial", "converge-zero-initial",
         "analytic2d-zero-initial", "compare-non-unit-grid", "analytic2d-non-unit-grid",
         "converge-non-unit-grid", "compare-unequal-u", "analytic2d-unequal-k",
         "converge-unequal-u", "chemistry-in-2d", "slice-in-2d", "series-m-zero",
         "series-n-zero", "nx-levels-below-3", "t-end-negative", "t-end-infinite",
-        "dt-infinite", "series-quad-points-removed"])
+        "dt-infinite", "series-quad-points-removed", "lx-infinite", "snapshot-nan",
+        "initial-value-negative", "k-nan"])
 def test_bad_2d_config_exits_1_naming_key(tmp_path, capsys, mode, path, value, key):
     raw = dict(COMPARE_SMALL, mode=mode)
     if mode == "converge":
@@ -553,21 +585,23 @@ DROP = object()
 MUTATIONS = {
     ("grid", "nx"): [2, "x", 7.5],
     ("grid", "nz"): [2, "x"],
-    ("grid", "Lx"): [0, -1.0, "x"],
-    ("transport", "u"): [["a", 1, 1], [1], [-1, 1, 1], "x"],
+    ("grid", "Lx"): [0, -1.0, "x", NAN, INF],
+    ("transport", "u"): [["a", 1, 1], [1], [-1, 1, 1], "x", [NAN, 1, 1], [INF, 1, 1],
+                         [-1.0, 1, 1]],
     ("transport", "k"): [[0, 0, 0], [0, 0], [-1, 0, 0]],
     ("time", "dt"): [0, -1, "x", 1e3],
     ("time", "t_end"): [0, -1, "x"],
-    ("time", "snapshots"): [[4, 1], [-1], ["x"], [99]],
+    ("time", "snapshots"): [[4, 1], [-1], ["x"], [99], [NAN], [INF], [-1.0]],
     ("initial", "kind"): ["sine_product", "point", "blob", 3],
     ("initial", "cell"): [[0, 1, 1], [1, 1], [99, 1, 1], "x"],
-    ("initial", "values"): [[1], ["a", 1, 1], 5],
+    ("initial", "values"): [[1], ["a", 1, 1], 5, [NAN, 1, 1], [INF, 1, 1], [-1.0, 1, 1]],
     ("trajectories", "stride"): [0, -1, "x", 1.5],
     ("trajectories", "cell_spacing"): [0, -3, "x", 1],
     ("trajectories", "cells"): [[[1, 1]], [[0, 1, 1]], [5], "x"],
     ("converge", "nx_levels"): [[5, 6, "x"], [5, 6], [2, 3, 4], "x"],
     ("chemistry", "reactions", 0, "loss"): [{"NO2": 1.5}, {"XX": 1}, {"NO2": -1}, "x"],
     ("chemistry", "sources", 0, "cell"): [[0, 1, 1], [1, 1], [9, 9, 9]],
+    ("chemistry", "sources", 0, "rate"): [NAN, INF, -1.0],
     ("units", "cell_volume_m3"): [0, -1, "x"],
     ("slice", "index"): [99, -1, "x"],
     ("slice", "axis"): ["w", 1],

@@ -272,6 +272,33 @@ def test_run_matches_exact_discrete_solution_random_stable():
         cases += 1
 
 
+def test_ozone_invariants_step_as_pure_transport():
+    # W.sto = 0 for NO+NO2 and NO2+O3, so each invariant of the bundled
+    # network steps as transport alone, whatever the chemistry does: at every
+    # cell and step it equals the closed form of its initial value.  The
+    # tolerance comes from measured rounding: over rng seeds 0-7 the worst
+    # error was 2.2e-14 of the step's maximum, no more than the closed form's
+    # own error against a run without chemistry, while the chemistry moves NO
+    # by over 60% of its transport-only maximum.
+    grid = Grid((9, 8, 7), (8.0, 7.0, 6.0))
+    params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.15, 0.12, 0.09))
+    net = bundled_ozone(k2=0.1)
+    net = dataclasses.replace(net, rates=(ConstantRate(0.05), net.rates[1]))
+    dt, steps = 0.5, 60
+    values = np.zeros((3, *grid.shape))
+    values[:, 1:-1, 1:-1, 1:-1] = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, 7, 6, 5))
+    _, states, _ = _recorded_run(Field(grid, values), params, net, dt, steps * dt,
+                                 [steps * dt])
+    for w in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0]):
+        for n, state in enumerate(states):
+            exact = exact_upwind(np.tensordot(w, values, 1), params.u, params.k,
+                                 grid.spacing, dt, n)
+            err = np.abs(np.tensordot(w, state, 1) - exact).max() / np.abs(exact).max()
+            assert err < 1e-13, (w, n, err)
+    alone = exact_upwind(values[0], params.u, params.k, grid.spacing, dt, steps)
+    assert np.abs(states[-1][0] - alone).max() > 0.1 * np.abs(alone).max()
+
+
 def test_norm_ratio_tends_to_leading_eigenvalue():
     # The paper's asymptotic decay in discrete form, as in 2-D: over dn steps
     # the L2 norm shrinks by a factor that tends to lambda_111**dn, and the
