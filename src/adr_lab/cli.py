@@ -187,7 +187,14 @@ def _parse_chemistry(cfg: dict, factor: float, grid: Grid) -> ReactionNetwork | 
             # A rate constant quoted for per-cm3 concentrations rescales by
             # the cell volume once per reactant beyond the first.
             order = int(loss[:, kappa].sum())
-            rates.append(ConstantRate(_check(value * factor ** (1 - order), float,
+            try:
+                scale = factor ** (1 - order)
+            except OverflowError:  # a float power raises where it would be infinite
+                raise ConfigurationError(
+                    f"units.cell_volume_m3: a cell of {factor} cm3 scales "
+                    f"{path}rate.value beyond the float range"
+                ) from None
+            rates.append(ConstantRate(_check(value * scale, float,
                                              path + "rate.value in model units")))
         elif kind == "photolysis_k1":
             rates.append(PhotolysisK1())

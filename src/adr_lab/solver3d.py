@@ -19,16 +19,20 @@ condition max_i(u_i dt / d_i) <= alpha < 1.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import logging
 import os
+import threading
 from collections import deque
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chemistry import ReactionNetwork, reaction_rates_field
 from .diagnostics import TrajectoryLog
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .grid import Field, Grid, TransportParams
 from .grid import zero_dirichlet  # noqa: F401 (patched by perfbench/tracing.py)
 from .snapshots import SnapshotSeries, Stability, run_steps
@@ -41,11 +45,19 @@ __all__ = ["stability3d", "step3d", "run3d", "x_blocks", "step_threads"]
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.9
-# x-planes per block, one unit of a step's work.  Fewer, larger blocks mean
-# fewer numpy calls, so two threads wait less often for each other's GIL
-# (each wait idles a CPU); smaller ones leave less for the last thread to
-# finish alone at the end of a step.
+# x-planes per block, one unit of a step's work.  Each block costs one
+# chemistry call and one kernel call; smaller blocks leave less for the last
+# thread to finish alone at the end of a step.  On a 2-vCPU host neither a
+# full-interior 101^3 step nor the snapshots3d benchmark ran faster with 1,
+# 2, 4 or 16 planes than with 8, at 1 or 2 threads (ROADMAP item 2).
 BLOCK_PLANES = 8
+# the C compiler that builds _step3d.c on the first 3-D step, and its flags:
+# no contraction into fused multiply-adds and no fast-math, so the kernel
+# rounds each operation as numpy does
+COMPILER = ("cc",)
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_step3d.c")
+_CACHE = Path(__file__).with_name("__pycache__")
 
 
 def stability3d(
@@ -107,50 +119,73 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
     """Step the x-planes [lo, hi) taken from the left of todo until it is empty.
 
     A block's cells inside the y and z ranges of box go from old to new,
-    all species at once.  Its chemistry lands in new first, and the block
-    then takes dt*rates out, writes the transport increment in its place and
-    adds the old state and dt*rates, grouped as in the formula of the module
-    docstring read left to right, so any blocks give the same bytes.
+    all species at once.  Its chemistry lands in new first; the compiled
+    kernel then writes the transport update in its place, with dt*rates
+    added last, grouped as in the formula of the module docstring read left
+    to right, so any blocks give the same bytes.  The kernel runs without
+    the GIL, so the threads that share todo step their blocks in parallel.
     """
     ys, zs = box[1:]
-    shape = (old.shape[0], BLOCK_PLANES, ys.stop - ys.start, zs.stop - zs.start)
-    scratch, twice, rates = np.empty(shape), np.empty(shape), np.empty(shape)
-    ym, yp, zm, zp = _shift(ys, -1), _shift(ys, 1), _shift(zs, -1), _shift(zs, 1)
+    geom = np.array([old.shape[0], ys.start, ys.stop, zs.start, zs.stop,
+                     *(n // old.itemsize for n in old.strides),
+                     *(n // new.itemsize for n in new.strides)], dtype=np.int64)
+    weights = np.array([-adv[0], adv[1], adv[2], *dif, dt])
+    kernel = _kernel()
     while True:
         try:
             lo, hi = todo.popleft()
         except IndexError:
             return
-        inner = (slice(None), slice(lo, hi), ys, zs)
         if network is not None:
+            inner = (slice(None), slice(lo, hi), ys, zs)
             reaction_rates_field(network, t, old[inner], out=new[inner],
                                  offset=(lo, ys.start, zs.start))
-        w, c2, r = scratch[:, :hi - lo], twice[:, :hi - lo], rates[:, :hi - lo]
-        c, o = old, new[inner]
-        centre = c[inner]
-        lower = (c[:, lo - 1:hi - 1, ys, zs], c[:, lo:hi, ym, zs], c[:, lo:hi, ys, zm])
-        upper = (c[:, lo + 1:hi + 1, ys, zs], c[:, lo:hi, yp, zs], c[:, lo:hi, ys, zp])
-        if network is not None:
-            np.multiply(o, dt, out=r)
-        np.subtract(centre, lower[0], out=o)
-        o *= -adv[0]
-        for axis in (1, 2):
-            np.subtract(centre, lower[axis], out=w)
-            w *= adv[axis]
-            o -= w
-        np.multiply(centre, 2.0, out=c2)
-        for axis in range(3):
-            np.subtract(upper[axis], c2, out=w)
-            w += lower[axis]
-            w *= dif[axis]
-            o += w
-        o += centre
-        if network is not None:
-            o += r
+        kernel(old.ctypes.data, new.ctypes.data, geom.ctypes.data, weights.ctypes.data,
+               lo, hi, network is not None)
 
 
-def _shift(s: slice, by: int) -> slice:
-    return slice(s.start + by, s.stop + by)
+@functools.cache
+def _kernel():
+    """The kernel of _step3d.c, built into _CACHE on first use.
+
+    The library's name carries a hash of the source and _FLAGS, so a
+    checkout builds it once; a process that finds it loads it without
+    calling COMPILER.  Raises ConfigurationError when the build fails.
+    """
+    import ctypes
+
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(b"\0".join([source, *(f.encode() for f in _FLAGS)])).hexdigest()
+    lib = _CACHE / f"_step3d-{digest[:16]}.so"
+    if not lib.exists():
+        _build(lib)
+    kernel = ctypes.CDLL(str(lib)).adr_step3d_block
+    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_int]
+    kernel.restype = None
+    return kernel
+
+
+def _build(lib: Path) -> None:
+    """Compile _SOURCE to lib through a name of this thread's own, renamed into place.
+
+    Processes that build at once each rename a complete library over the
+    other's, so none ever loads a partial file.
+    """
+    import subprocess
+
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    command = [*COMPILER, *_FLAGS, "-o", str(tmp), str(_SOURCE)]
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        done = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        error = str(exc)
+    else:
+        error = done.returncode and (done.stderr.strip() or f"exit status {done.returncode}")
+    if error:
+        tmp.unlink(missing_ok=True)
+        raise ConfigurationError(f"3-D runs need a C compiler: `{' '.join(command)}` failed: {error}")
+    os.replace(tmp, lib)
 
 
 def step3d(
@@ -175,14 +210,25 @@ def step3d(
     that meet box wait in one queue, which this thread empties together with
     threads - 1 tasks on pool when pool is given: each thread takes the next
     block when it is free, so a thread that the machine slows down takes
-    fewer blocks instead of holding up the step.
+    fewer blocks instead of holding up the step.  The first call in a
+    process loads the compiled kernel (see _kernel), which raises
+    ConfigurationError when it cannot be built.
     """
     adv, dif = report.coefficients
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
-    box = box or tuple(slice(1, n - 1) for n in field.grid.shape)
+    shape = field.grid.shape
+    box = tuple(slice(*s.indices(n)) for s, n in zip(box or (slice(1, -1),) * 3, shape))
+    # the kernel reads one cell past each side of box and trusts these
+    if out.values.shape != field.values.shape:
+        raise InputError(f"out has shape {out.values.shape}, field {field.values.shape}")
+    if not all(a.dtype == np.float64 and a.flags.aligned for a in (field.values, out.values)):
+        raise InputError("field and out values must be aligned float64 arrays")
+    if not all(s.step == 1 and 1 <= s.start and s.stop <= n - 1 for s, n in zip(box, shape)):
+        raise InputError(f"box {box} is not inside the interior of the grid {shape}")
+    _kernel()  # built or loaded here, before any thread needs it
     xs = box[0]
-    clipped = ((max(lo, xs.start), min(hi, xs.stop)) for lo, hi in x_blocks(field.grid.shape[0]))
+    clipped = ((max(lo, xs.start), min(hi, xs.stop)) for lo, hi in x_blocks(shape[0]))
     todo = deque((lo, hi) for lo, hi in clipped if lo < hi)
 
     def drain() -> None:

@@ -24,6 +24,7 @@ from adr_lab import (
     TrajectoryLog,
 )
 from adr_lab.analytic2d import _weighted_samples, default_quad_points
+from adr_lab.chemistry import reaction_rates_field
 from adr_lab.cli import bundled_config_path, parse_config
 
 
@@ -109,6 +110,45 @@ def exact_stencil(values: np.ndarray, c0: float, lower, upper, steps: int) -> np
     out = np.zeros_like(values)
     out[inner] = w * b
     return out
+
+
+def numpy_advance_blocks(old: np.ndarray, new: np.ndarray, todo, box: tuple, adv, dif,
+                         network, t: float, dt: float) -> None:
+    """The block step of solver3d._advance_blocks in numpy, a drop-in for it.
+
+    Each block's chemistry lands in new first; the block then takes dt*rates
+    out, writes the transport increment in its place and adds the old state
+    and dt*rates, one numpy pass per operation, grouped as in the formula of
+    solver3d's docstring read left to right.  The compiled kernel must give
+    the same bytes.
+    """
+    ys, zs = box[1:]
+    ym, yp = slice(ys.start - 1, ys.stop - 1), slice(ys.start + 1, ys.stop + 1)
+    zm, zp = slice(zs.start - 1, zs.stop - 1), slice(zs.start + 1, zs.stop + 1)
+    while True:
+        try:
+            lo, hi = todo.popleft()
+        except IndexError:  # another thread took the last block
+            return
+        inner = (slice(None), slice(lo, hi), ys, zs)
+        if network is not None:
+            reaction_rates_field(network, t, old[inner], out=new[inner],
+                                 offset=(lo, ys.start, zs.start))
+        c, o = old, new[inner]
+        centre = c[inner]
+        lower = (c[:, lo - 1:hi - 1, ys, zs], c[:, lo:hi, ym, zs], c[:, lo:hi, ys, zm])
+        upper = (c[:, lo + 1:hi + 1, ys, zs], c[:, lo:hi, yp, zs], c[:, lo:hi, ys, zp])
+        r = o * dt if network is not None else None
+        np.subtract(centre, lower[0], out=o)
+        o *= -adv[0]
+        for axis in (1, 2):
+            o -= (centre - lower[axis]) * adv[axis]
+        c2 = centre * 2.0
+        for axis in range(3):
+            o += ((upper[axis] - c2) + lower[axis]) * dif[axis]
+        o += centre
+        if r is not None:
+            o += r
 
 
 # ---------------------------------------------------------------------------

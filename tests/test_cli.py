@@ -280,6 +280,7 @@ CHECKED_WHEN_THE_RUN_STARTS = {"trajectories.cells[0]", "slice.axis", "slice.ind
     (("initial", "values"), [1.0, INF, 1.0], "initial.values[1]"),
     (("initial", "values"), [1e303, 1.0, 1.0], "initial.values[0]"),
     (("units", "cell_volume_m3"), INF, "units.cell_volume_m3"),
+    (("units", "cell_volume_m3"), 5e-324, "units.cell_volume_m3"),
     (("transport", "u"), [INF, 1.0, 1.0], "transport.u[0]"),
     (("transport", "u"), [10**400, 1, 1], "transport.u[0]"),
     (("transport", "k"), [NAN, 2e-5, 2e-5], "transport.k[0]"),
@@ -292,7 +293,8 @@ CHECKED_WHEN_THE_RUN_STARTS = {"trajectories.cells[0]", "slice.axis", "slice.ind
         "t-end-negative", "lx-infinite", "snapshot-nan", "snapshot-negative",
         "source-rate-negative", "source-rate-nan", "source-rate-overflows-when-scaled",
         "initial-value-negative", "initial-value-infinite",
-        "initial-value-overflows-when-scaled", "cell-volume-infinite", "u-infinite",
+        "initial-value-overflows-when-scaled", "cell-volume-infinite",
+        "cell-volume-overflows-rate", "u-infinite",
         "u-int-beyond-float", "k-nan"])
 def test_bad_reference_exits_1_naming_key(tmp_path, capsys, path, value, key):
     raw = yaml.safe_load(bundled_config_path("ozone-3d.yaml").read_text())

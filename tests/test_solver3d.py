@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
@@ -14,6 +18,7 @@ from adr_lab import (
     DivergenceError,
     Field,
     Grid,
+    InputError,
     PointSource,
     ReactionNetwork,
     TransportParams,
@@ -23,9 +28,9 @@ from adr_lab import (
     stability3d,
     step3d,
 )
-from adr_lab import solver3d
-from oracles import (bundled_ozone, exact_stencil, reaction_rates, trajectory_points,
-                     trajectory_rows)
+from adr_lab import cli, solver3d
+from oracles import (bundled_ozone, exact_stencil, numpy_advance_blocks, reaction_rates,
+                     trajectory_points, trajectory_rows)
 
 NOON = 12 * 3600.0
 
@@ -194,6 +199,188 @@ def test_many_blocks_under_fast_thread_switching(monkeypatch):
                 np.testing.assert_array_equal(stepped.values, expected)
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel: bitwise against the numpy block step and the naive
+# loop, and built once per cache
+
+
+def _random_network(draw, species, shape):
+    """A network of 1-3 reactions with loss exponents 0-3, rates up to 0.5 and
+    at most one source, at an interior cell of shape."""
+    count = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(st.integers(0, 3), min_size=count, max_size=count),
+                      min_size=species, max_size=species)
+    loss, gain = draw(matrix), draw(matrix)
+    rates = tuple(ConstantRate(draw(st.floats(0.0, 0.5))) for _ in range(count))
+    cells = st.tuples(*[st.integers(1, n - 2) for n in shape])
+    sources = tuple(PointSource(draw(st.integers(0, species - 1)), draw(cells), 1.5)
+                    for _ in range(draw(st.integers(0, 1))))
+    return ReactionNetwork(species=tuple("ABC"[:species]), loss=np.array(loss),
+                           gain=np.array(gain), rates=rates, sources=sources)
+
+
+def _numpy_step(*args, **kwargs):
+    """step3d with the numpy block step of tests/oracles.py in place of the kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver3d, "_advance_blocks", numpy_advance_blocks)
+        return step3d(*args, **kwargs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.tuples(*[st.integers(3, 12)] * 3), planes=st.integers(1, 5),
+       threads=st.integers(1, 3), data=st.data())
+def test_kernel_step_equals_numpy_blocks_and_naive_loop_bitwise(shape, planes, threads, data):
+    draw = data.draw
+    species = draw(st.integers(1, 3))
+    network = draw(st.sampled_from([None, "random"]))
+    if network is not None:
+        network = _random_network(draw, species, shape)
+    box = []
+    for n in shape:
+        lo = draw(st.integers(1, n - 2))
+        box.append(slice(lo, draw(st.integers(lo, n - 1))))
+    grid = _spaced_grid(shape)
+    params = TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.06, 0.04))
+    rep = stability3d(params, grid, 0.5)
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        0.5, 2.0, size=(species, *shape))
+    field = Field(grid, values)
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as pool:
+        patch.setattr(solver3d, "BLOCK_PLANES", planes)
+        patch.setattr(solver3d, "_usable_cpus", lambda: 4)
+        workers = solver3d.step_threads(shape[0], threads)
+        steps = [step(field, rep, network, NOON, 0.5,
+                      out=Field(grid, np.full(values.shape, -1.0)), box=tuple(box),
+                      pool=pool, threads=workers)
+                 for step in (step3d, _numpy_step)]
+    got, oracle = (s.values for s in steps)
+    assert (got.view(np.uint64) == oracle.view(np.uint64)).all()
+    inside = (slice(None), *box)
+    naive = naive_step(values, params.u, params.k, grid.spacing, 0.5, network, NOON)[inside]
+    if network is None:
+        assert (got[inside].view(np.uint64) == naive.view(np.uint64)).all()
+    else:
+        # the naive loop sums its chemistry in another order
+        np.testing.assert_allclose(got[inside], naive, rtol=0,
+                                   atol=1e-13 * max(np.abs(naive).max(initial=0.0), 1.0))
+    got[inside] = -1.0
+    assert (got == -1.0).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_kernel_divergence_names_the_oracle_step_and_cell(monkeypatch, value, threads):
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 2)
+    grid = _spaced_grid((11, 9, 8))
+    init = Field.zeros(grid, 3)
+    init.values[:, 5, 4, 4] = [1.0, 2.0, 3.0]
+    init.values[1, 7, 3, 5] = value
+    net = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=(3, 3, 3))
+    messages = []
+    for advance in (solver3d._advance_blocks, numpy_advance_blocks):
+        monkeypatch.setattr(solver3d, "_advance_blocks", advance)
+        with pytest.raises(DivergenceError) as exc:
+            run3d(init, BOX_PARAMS, net, BOX_DT, 5.0, [5.0], threads=threads)
+        messages.append((exc.value.step, str(exc.value)))
+    assert messages[0] == messages[1]
+    # the chemistry carries it to species 0 of its cell in the same step
+    assert messages[0][0] == 1 and "at species 0, cell (7, 3, 5)" in messages[0][1]
+
+
+@pytest.fixture
+def empty_cache(monkeypatch, tmp_path):
+    """The kernel's cache moved to an empty directory, and no kernel loaded in this process."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(solver3d, "_CACHE", cache)
+    solver3d._kernel.cache_clear()
+    yield cache
+    solver3d._kernel.cache_clear()
+
+
+def _small_step(values):
+    grid = _spaced_grid(values.shape[1:])
+    return step3d(Field(grid, values), stability3d(BOX_PARAMS, grid, BOX_DT), None, 0.0, BOX_DT)
+
+
+STEP_IN_A_PROCESS = """
+import sys
+from pathlib import Path
+import numpy as np
+from adr_lab import Field, Grid, TransportParams, solver3d, stability3d, step3d
+solver3d._CACHE = Path(sys.argv[1])
+values = np.load(sys.argv[2])
+grid = Grid(values.shape[1:], tuple(float(n - 1) for n in values.shape[1:]))
+rep = stability3d(TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05)), grid, 0.5)
+sys.stdout.write(step3d(Field(grid, values), rep, None, 0.0, 0.5).values.tobytes().hex())
+"""
+
+
+def test_processes_starting_on_an_empty_cache_build_one_library(empty_cache, tmp_path):
+    values = np.random.default_rng(41).uniform(0.0, 1.0, (2, 9, 8, 7))
+    np.save(tmp_path / "values.npy", values)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    command = [sys.executable, "-c", STEP_IN_A_PROCESS, str(empty_cache),
+               str(tmp_path / "values.npy")]
+    runs = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            for _ in range(2)]
+    outputs = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
+    expected = _small_step(values).values.tobytes().hex()
+    assert [out.decode() for out, _ in outputs] == [expected, expected]
+    assert [p.suffix for p in empty_cache.iterdir()] == [".so"]
+
+
+def test_a_built_kernel_is_loaded_without_the_compiler(empty_cache, monkeypatch):
+    values = np.random.default_rng(43).uniform(0.0, 1.0, (2, 9, 8, 7))
+    built = _small_step(values).values
+    (lib,) = empty_cache.iterdir()
+    monkeypatch.setattr(solver3d, "COMPILER", ("false",))
+    solver3d._kernel.cache_clear()
+    assert _small_step(values).values.tobytes() == built.tobytes()
+    assert list(empty_cache.iterdir()) == [lib]
+
+
+def test_missing_compiler_fails_the_run_naming_it(empty_cache, monkeypatch, tmp_path):
+    compiler = str(tmp_path / "no-such-cc")
+    monkeypatch.setattr(solver3d, "COMPILER", (compiler,))
+    raw = yaml.safe_load(cli.bundled_config_path("ozone-3d.yaml").read_text())
+    raw["grid"].update(nx=11, ny=11, nz=11)
+    raw["time"].update(t_end=4.0, snapshots=[0.0, 4.0])
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert cli.execute(cli.parse_config(tmp_path / "run.yaml"), out) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "C compiler" in manifest["error"] and compiler in manifest["error"]
+    assert not empty_cache.exists() or list(empty_cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["box-on-boundary", "box-past-interior", "out-shape",
+                                 "unaligned"])
+def test_step_rejects_what_the_kernel_would_read_outside(bad):
+    grid = _spaced_grid((7, 6, 5))
+    field, out, box = Field.zeros(grid, 2), None, None
+    if bad == "box-on-boundary":
+        box = (slice(0, 3), slice(1, 5), slice(1, 4))
+    elif bad == "box-past-interior":
+        box = (slice(1, 6), slice(1, 6), slice(1, 4))
+    elif bad == "out-shape":
+        out = Field.zeros(grid, 1)
+    else:
+        raw = np.zeros(field.values.nbytes + 1, dtype=np.uint8)[1:]
+        field.values = raw.view(np.float64).reshape(field.values.shape)
+    with pytest.raises(InputError):
+        step3d(field, stability3d(BOX_PARAMS, grid, BOX_DT), None, 0.0, BOX_DT,
+               out=out, box=box)
+
+
+def test_kernel_flags_keep_ieee_rounding():
+    assert "-ffp-contract=off" in solver3d._FLAGS
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(solver3d._FLAGS)
 
 
 def _recorded_run(init, *args, **kwargs):
