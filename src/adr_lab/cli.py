@@ -116,7 +116,8 @@ def _unread(node, path: str) -> list[str]:
 class RunConfig:
     """Validated run definition; all numeric blocks resolved to model units.
 
-    Fields of blocks the mode does not read are None.
+    Fields of blocks the mode does not read are None.  initial is the field
+    at t = 0, which runs copy and never write.
     """
 
     mode: str
@@ -129,9 +130,7 @@ class RunConfig:
     dt: float
     t_end: float
     snapshot_times: list
-    initial_kind: str
-    initial_cell: tuple | None = None
-    initial_values: list | None = None
+    initial: Field
     series_m: int | None = None
     series_n: int | None = None
     slice_axis: str | None = None
@@ -280,16 +279,17 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
         raise ConfigurationError(
             f"initial.kind: mode {mode} takes one of {kinds}, got {initial_kind!r}"
         )
+    initial = (sample_initial_2d(grid, _sine_product(grid)) if initial_kind == "sine_product"
+               else Field.zeros(grid, len(species)))
     if initial_kind == "point":
-        fields["initial_cell"] = grid.interior_cell(_get(iblock, "cell", "initial.", list),
-                                                    "initial.cell")
+        cell = grid.interior_cell(_get(iblock, "cell", "initial.", list), "initial.cell")
         values = [_check(v * unit_factor, float, f"initial.values[{i}] in model units")
                   for i, v in enumerate(_get(iblock, "values", "initial.", list[float]))]
         if len(values) != len(species):
             raise ConfigurationError(
                 f"initial.values: expected {len(species)} entries, got {len(values)}"
             )
-        fields["initial_values"] = values
+        initial.values[(slice(None), *cell)] = values  # an interior cell: the boundary stays zero
 
     if grid.ndim == 2:
         sblock = _get(cfg, "series", "", dict, default={})
@@ -349,7 +349,7 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     return RunConfig(
         mode=mode, raw=raw, unit_factor=unit_factor, grid=grid, transport=transport,
         network=network, species=species, dt=dt, t_end=t_end,
-        snapshot_times=snapshot_times, initial_kind=initial_kind, **fields,
+        snapshot_times=snapshot_times, initial=initial, **fields,
     )
 
 
@@ -438,30 +438,18 @@ def _sine_product(grid: Grid):
     return lambda x, y: np.sin(np.pi * x / Lx) * np.sin(np.pi * y / Ly)
 
 
-def _initial_field(cfg: RunConfig) -> Field:
-    if cfg.initial_kind == "sine_product":
-        return sample_initial_2d(cfg.grid, _sine_product(cfg.grid))
-    field = Field.zeros(cfg.grid, len(cfg.species))
-    if cfg.initial_kind == "point":
-        # initial_cell is interior (checked at parse time): the boundary stays zero
-        for s, v in enumerate(cfg.initial_values):
-            field.values[(s,) + cfg.initial_cell] = v
-    return field
-
-
 def _simulate(cfg: RunConfig, override: bool, threads: int):
     """Run the scheme of the grid's dimension from the configured initial field.
 
     threads steps the x-plane blocks of each 3-D step in parallel.  Returns
     the SnapshotSeries and the manifest keys every simulating run reports.
     """
-    initial = _initial_field(cfg)
     if cfg.grid.ndim == 2:
-        series = run2d(initial, cfg.transport, cfg.dt, cfg.t_end,
+        series = run2d(cfg.initial, cfg.transport, cfg.dt, cfg.t_end,
                        cfg.snapshot_times, override_stability=override)
     else:
         series = run3d(
-            initial, cfg.transport, cfg.network, cfg.dt, cfg.t_end,
+            cfg.initial, cfg.transport, cfg.network, cfg.dt, cfg.t_end,
             cfg.snapshot_times, slice_axis=cfg.slice_axis,
             slice_index=cfg.slice_index, trajectory_cells=cfg.trajectory_cells,
             trajectory_stride=cfg.trajectory_stride, override_stability=override,

@@ -40,7 +40,7 @@ from .snapshots import SnapshotSeries, Stability, run_steps
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-__all__ = ["stability3d", "step3d", "run3d", "x_blocks", "step_threads"]
+__all__ = ["stability3d", "step3d", "run3d", "step_threads"]
 
 logger = logging.getLogger(__name__)
 
@@ -92,19 +92,9 @@ def stability3d(
     return Stability("upwind-3d", numbers, violated, (courant, r))
 
 
-def x_blocks(nx: int) -> list[tuple[int, int]]:
-    """Split the interior x-planes 1..nx-2 into [lo, hi) blocks of BLOCK_PLANES planes.
-
-    The last block takes what is left.  The blocks do not depend on the
-    thread count, so neither do the numbers computed in them.
-    """
-    bounds = list(range(1, nx - 1, BLOCK_PLANES)) + [nx - 1]
-    return list(zip(bounds, bounds[1:]))
-
-
 def step_threads(nx: int, threads: int) -> int:
-    """Threads for the steps of an nx-plane grid: min(threads, usable CPUs, blocks), at least 1."""
-    return max(1, min(threads, _usable_cpus(), len(x_blocks(nx))))
+    """Threads for an nx-plane grid: min(threads, usable CPUs, interior blocks), at least 1."""
+    return max(1, min(threads, _usable_cpus(), len(range(1, nx - 1, BLOCK_PLANES))))
 
 
 def _usable_cpus() -> int:
@@ -126,9 +116,7 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
     the GIL, so the threads that share todo step their blocks in parallel.
     """
     ys, zs = box[1:]
-    geom = np.array([old.shape[0], ys.start, ys.stop, zs.start, zs.stop,
-                     *(n // old.itemsize for n in old.strides),
-                     *(n // new.itemsize for n in new.strides)], dtype=np.int64)
+    geom = np.array([*old.shape, ys.start, ys.stop, zs.start, zs.stop], dtype=np.int64)
     weights = np.array([-adv[0], adv[1], adv[2], *dif, dt])
     kernel = _kernel()
     while True:
@@ -206,39 +194,48 @@ def step3d(
     to the interior of out, whose boundary nodes are left as they are, or
     else to a new Field with a zero boundary.  box, per-axis slices inside
     the interior, limits the cells written to those it covers (None: the
-    whole interior); every other cell of out is left as it is.  The x_blocks
-    that meet box wait in one queue, which this thread empties together with
-    threads - 1 tasks on pool when pool is given: each thread takes the next
-    block when it is free, so a thread that the machine slows down takes
-    fewer blocks instead of holding up the step.  The first call in a
-    process loads the compiled kernel (see _kernel), which raises
-    ConfigurationError when it cannot be built.
+    whole interior); every other cell of out is left as it is.  The x-planes
+    of box, cut into blocks of BLOCK_PLANES planes from its first one, wait
+    in one queue, which this thread empties together with threads - 1 tasks
+    on pool when pool is given: each thread takes the next block when it is
+    free, so a thread that the machine slows down takes fewer blocks instead
+    of holding up the step.  The first call in a process loads the compiled
+    kernel (see _kernel), which raises ConfigurationError when it cannot be
+    built.
     """
     adv, dif = report.coefficients
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
     shape = field.grid.shape
     box = tuple(slice(*s.indices(n)) for s, n in zip(box or (slice(1, -1),) * 3, shape))
+    _check_species(field, network)
     # the kernel reads one cell past each side of box and trusts these
-    if out.values.shape != field.values.shape:
-        raise InputError(f"out has shape {out.values.shape}, field {field.values.shape}")
-    if not all(a.dtype == np.float64 and a.flags.aligned for a in (field.values, out.values)):
-        raise InputError("field and out values must be aligned float64 arrays")
+    old, new = field.values, out.values
+    layout = [a.dtype == np.float64 and a.flags.aligned and a.flags.c_contiguous for a in (old, new)]
+    if new.shape != old.shape or not all(layout) or np.shares_memory(old, new):
+        raise InputError("field and out values must be aligned, C-contiguous float64 arrays of "
+                         f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
     if not all(s.step == 1 and 1 <= s.start and s.stop <= n - 1 for s, n in zip(box, shape)):
         raise InputError(f"box {box} is not inside the interior of the grid {shape}")
     _kernel()  # built or loaded here, before any thread needs it
     xs = box[0]
-    clipped = ((max(lo, xs.start), min(hi, xs.stop)) for lo, hi in x_blocks(shape[0]))
-    todo = deque((lo, hi) for lo, hi in clipped if lo < hi)
+    todo = deque((lo, min(lo + BLOCK_PLANES, xs.stop))
+                 for lo in range(xs.start, xs.stop, BLOCK_PLANES))
 
     def drain() -> None:
-        _advance_blocks(field.values, out.values, todo, box, adv, dif, network, t, dt)
+        _advance_blocks(old, new, todo, box, adv, dif, network, t, dt)
 
     helpers = [pool.submit(drain) for _ in range(threads - 1)] if pool is not None else []
     drain()
     for helper in helpers:
         helper.result()
     return out
+
+
+def _check_species(field: Field, network: ReactionNetwork | None) -> None:
+    if network is not None and network.species_count != field.species_count:
+        raise InputError(f"the network has {network.species_count} species, "
+                         f"the field {field.species_count}")
 
 
 def _initial_box(initial: Field, network: ReactionNetwork | None) -> tuple[slice, ...]:
@@ -321,7 +318,7 @@ def run3d(
     requested 2-D slice; no full field is kept.  When trajectory_cells is
     given (a list of interior (i, j, k) tuples), the per-species state of
     those cells is appended to series.trajectories every trajectory_stride
-    steps.  Each step runs its x_blocks on step_threads(nx, threads)
+    steps.  Each step runs its blocks on step_threads(nx, threads)
     threads, this one and the rest from a pool that lives for the run; the
     result does not depend on threads.
     """
@@ -335,6 +332,7 @@ def run3d(
             f"of size {grid.shape[axis]}"
         )
     report = stability3d(params, grid, dt, alpha)
+    _check_species(initial, network)
     scale = _reaction_rate_warning(network, initial, dt) if network is not None else 0.0
     log = TrajectoryLog(
         cells=[grid.interior_cell(c, f"trajectories.cells[{n}]")

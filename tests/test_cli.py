@@ -133,7 +133,7 @@ def test_unit_conversion_per_cm3(tmp_path):
     # photolysis (first order) is unchanged by the unit convention
     assert cfg.network.rates[0].bound == pytest.approx(1e-5 * np.e**7)
     assert cfg.network.sources[0].rate == pytest.approx(1e13)
-    assert cfg.initial_values == pytest.approx([1.3e15, 5e18, 8e18])
+    assert cfg.initial.values[:, 1, 1, 1] == pytest.approx([1.3e15, 5e18, 8e18])
 
 
 def test_bundled_configs_parse():
@@ -201,10 +201,13 @@ def test_point_initial_field_equals_the_boundary_zeroed_field(tmp_path, payload,
     payload["initial"] = {"kind": "point", "cell": cell, "values": values}
     cfg = parse_config(write_cfg(tmp_path, payload))
     want = Field.zeros(cfg.grid, species)
-    for s, v in enumerate(cfg.initial_values):
-        want.values[(s, *cell)] = v
+    for s, v in enumerate(values):
+        want.values[(s, *cell)] = v * cfg.unit_factor
     zero_dirichlet(want)
-    assert cli._initial_field(cfg).values.tobytes() == want.values.tobytes()
+    assert cfg.initial.values.tobytes() == want.values.tobytes()
+    # a run copies the initial field and never writes it
+    assert execute(cfg, tmp_path / "out") == 0
+    assert cfg.initial.values.tobytes() == want.values.tobytes()
 
 
 def test_analytic_mode_writes_coefficients(tmp_path):

@@ -121,11 +121,29 @@ def test_step_matches_naive_loop_bitwise_transport():
 
 @pytest.mark.parametrize("nx", [3, 4, 13, 101])
 @pytest.mark.parametrize("planes", [1, 4, 200])
-def test_x_blocks_cover_each_interior_plane_once(monkeypatch, nx, planes):
+def test_step_blocks_cover_each_box_plane_once(monkeypatch, nx, planes):
+    # the queue step3d hands _advance_blocks, for the whole interior (box=None)
+    # and for a box of the middle x-planes
     monkeypatch.setattr(solver3d, "BLOCK_PLANES", planes)
-    blocks = solver3d.x_blocks(nx)
-    assert [x for lo, hi in blocks for x in range(lo, hi)] == list(range(1, nx - 1))
-    assert all(0 < hi - lo <= planes for lo, hi in blocks)
+    queues, advance = [], solver3d._advance_blocks
+
+    def recording(old, new, todo, *args):
+        queues.append(list(todo))
+        advance(old, new, todo, *args)
+
+    monkeypatch.setattr(solver3d, "_advance_blocks", recording)
+    grid = _spaced_grid((nx, 4, 3))
+    rep = stability3d(BOX_PARAMS, grid, BOX_DT)
+    cut = (nx - 2) // 3
+    middle = range(1 + cut, nx - 1 - cut // 2)
+    for xs, box in ((range(1, nx - 1), None),
+                    (middle, (slice(middle.start, middle.stop), slice(1, 3), slice(1, 2)))):
+        queues.clear()
+        step3d(Field.zeros(grid, 2), rep, None, 0.0, BOX_DT, box=box)
+        [blocks] = queues
+        assert [x for lo, hi in blocks for x in range(lo, hi)] == list(xs)
+        assert all(0 < hi - lo <= planes for lo, hi in blocks)
+        assert [lo for lo, _ in blocks] == list(range(xs.start, xs.stop, planes))
 
 
 @pytest.mark.parametrize("nx", [3, 4, 13, 101])
@@ -138,7 +156,7 @@ def test_step_threads_capped_by_cpus_and_planes(monkeypatch, nx, threads):
             monkeypatch.setattr(solver3d, "_usable_cpus", lambda: cpus)
         count = solver3d.step_threads(nx, threads)
         assert 1 <= count <= min(threads, cpus, nx - 2)
-        assert count == min(threads, cpus, len(solver3d.x_blocks(nx)))
+        assert count == min(threads, cpus, len(range(1, nx - 1, solver3d.BLOCK_PLANES)))
 
 
 # blocks of 1, 4 and 11 planes of the 11 interior x-planes of a 13-node axis
@@ -189,7 +207,7 @@ def test_many_blocks_under_fast_thread_switching(monkeypatch):
     rep = stability3d(params, grid, 0.2)
     expected = step3d(field, rep, net, NOON, 0.2).values
     monkeypatch.setattr(solver3d, "BLOCK_PLANES", 2)
-    threads = len(solver3d.x_blocks(26))
+    threads = len(range(1, 25, 2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -360,22 +378,46 @@ def test_missing_compiler_fails_the_run_naming_it(empty_cache, monkeypatch, tmp_
 
 
 @pytest.mark.parametrize("bad", ["box-on-boundary", "box-past-interior", "out-shape",
-                                 "unaligned"])
+                                 "unaligned", "out-is-field", "out-overlaps-field",
+                                 "fortran-order", "strided"])
 def test_step_rejects_what_the_kernel_would_read_outside(bad):
     grid = _spaced_grid((7, 6, 5))
     field, out, box = Field.zeros(grid, 2), None, None
+    shape = field.values.shape
     if bad == "box-on-boundary":
         box = (slice(0, 3), slice(1, 5), slice(1, 4))
     elif bad == "box-past-interior":
         box = (slice(1, 6), slice(1, 6), slice(1, 4))
     elif bad == "out-shape":
         out = Field.zeros(grid, 1)
-    else:
+    elif bad == "unaligned":
         raw = np.zeros(field.values.nbytes + 1, dtype=np.uint8)[1:]
-        field.values = raw.view(np.float64).reshape(field.values.shape)
+        field.values = raw.view(np.float64).reshape(shape)
+    elif bad == "out-is-field":
+        out = field
+    elif bad == "out-overlaps-field":
+        raw = np.zeros(field.values.size + 5)
+        field.values = raw[:-5].reshape(shape)
+        out = Field(grid, raw[5:].reshape(shape))
+    elif bad == "fortran-order":
+        field.values = np.asfortranarray(field.values)
+    else:
+        field.values = np.zeros((2, 14, 6, 5))[:, ::2]
     with pytest.raises(InputError):
         step3d(field, stability3d(BOX_PARAMS, grid, BOX_DT), None, 0.0, BOX_DT,
                out=out, box=box)
+
+
+@pytest.mark.parametrize("species", [2, 4])
+def test_network_of_another_species_count_is_an_input_error(species):
+    grid = _spaced_grid((7, 6, 5))
+    field, net = Field.zeros(grid, species), bundled_ozone(k2=2.0**-10)
+    field.values[:, 3, 3, 2] = 1.0
+    message = f"network has 3 species, the field {species}"
+    with pytest.raises(InputError, match=message):
+        run3d(field, BOX_PARAMS, net, BOX_DT, 1.0, [1.0])
+    with pytest.raises(InputError, match=message):
+        step3d(field, stability3d(BOX_PARAMS, grid, BOX_DT), net, 0.0, BOX_DT)
 
 
 def test_kernel_flags_keep_ieee_rounding():
