@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, _native
 from .analytic2d import build_series, coefficient_rows, sample_series
 from .chemistry import (
     ConstantRate,
@@ -53,6 +53,8 @@ from .solver2d import run2d
 from .solver3d import DEFAULT_ALPHA, run3d, step_threads
 
 CM3_PER_M3 = 1.0e6
+# PyYAML's safe loader, in its compiled form when PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def parse_config(path: str | Path, mode: str | None = None) -> RunConfig:
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text()) or {}
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -363,27 +365,43 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _write_atomic(path: Path, chunks) -> None:
-    """Write the text chunks, one after another, to a temp file that then replaces path."""
+    """Write the byte chunks, one after another, to a temp file that then replaces path.
+
+    A failure while writing removes the temp file before the error goes on.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        f.writelines(chunks)
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
-CSV_CHUNK_PIECES = 16384  # line prefixes and value texts joined per write
+CSV_CHUNK_LINES = 16384  # lines of sequence rows joined per write
+CSV_CHUNK_BYTES = 1 << 19  # bound of the values' bytes of the array rows formatted per call
 
 
-def _value_text(rows):
-    """Yield each row's value text and newline (see write_csv)."""
+def _line_chunks(rows, heads):
+    """Yield the bytes of the lines of rows, a bounded chunk at a time (see write_csv)."""
+    lines = []
     for row in rows:
         if not isinstance(row, np.ndarray):
-            yield ",".join(map(repr, row)) + "\n"
+            lines.append(next(heads) + ",".join(map(repr, row)) + "\n")
+            if len(lines) == CSV_CHUNK_LINES:
+                yield "".join(lines).encode()
+                lines = []
             continue
-        text = [",".join(["0.0"] * row.shape[1]) + "\n"] * len(row)
-        formatted = np.flatnonzero(row.view(np.uint64).any(axis=1))
-        for i, values in zip(formatted.tolist(), row[formatted].tolist()):
-            text[i] = ",".join(map(repr, values)) + "\n"
-        yield from text
+        if lines:
+            yield "".join(lines).encode()
+            lines = []
+        step = max(1, CSV_CHUNK_BYTES // (_native.VALUE_BYTES * row.shape[1] + 1))
+        for lo in range(0, len(row), step):
+            block = row[lo:lo + step]
+            yield _native.format_lines(block, list(itertools.islice(heads, len(block))))
+    if lines:
+        yield "".join(lines).encode()
 
 
 def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
@@ -392,18 +410,18 @@ def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
     A row is a sequence of Python ints and floats; an item of rows that is a
     2-D float64 array stands for the array's rows.  A value is written as
     its repr, which for a Python float is the shortest form that reads back
-    as the same number.  The array rows whose values are all bitwise +0.0
-    share one "0.0,...,0.0" text; only the others (-0.0, NaN and subnormals
-    have other bits) are converted by .tolist() and formatted.  prefixes,
-    when given, holds the start of each row's line: the text of its leading
-    columns, with their commas.  The lines are streamed to the temp file in
-    chunks; no whole-file text is built.
+    as the same number.  Array rows are formatted by the compiled formatter
+    (_native.format_lines), which writes the same bytes, in chunks of at
+    most CSV_CHUNK_BYTES of values; the first array row builds or loads the
+    compiled library, which raises ConfigurationError when it cannot be
+    built.  prefixes, when given, holds the start of each row's line: the
+    text of its leading columns, with their commas, and no newline.  The
+    lines are streamed to the temp file in chunks; no whole-file text is
+    built, and a failure removes the temp file and leaves path as it was.
     """
-    pieces = _value_text(rows)
-    if prefixes is not None:
-        pieces = itertools.chain.from_iterable(zip(prefixes, pieces))
-    chunks = iter(lambda: "".join(itertools.islice(pieces, CSV_CHUNK_PIECES)), "")
-    _write_atomic(path, itertools.chain([",".join(header) + "\n"], chunks))
+    heads = itertools.repeat("") if prefixes is None else iter(prefixes)
+    _write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()],
+                                        _line_chunks(rows, heads)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -421,7 +439,10 @@ def write_slice(path: Path, plane: np.ndarray, species: list[str],
 
     A row holds the node's two coordinates (its indices, unless coords gives
     the axis values) and then each species.  The coordinate text is built
-    once for the run's shape and coordinates, not once per slice.
+    once for the run's shape and coordinates, not once per slice; the
+    species values are the plane's array rows, which write_csv formats with
+    the compiled formatter, so the first slice of a process may build the
+    compiled library.
     """
     key = None if coords is None else tuple(np.asarray(c, float).tobytes() for c in coords)
     write_csv(path, [*labels, *species], [plane.reshape(plane.shape[0], -1).T],
@@ -588,7 +609,8 @@ def execute(cfg: RunConfig, out_dir: str | Path, threads: int = 1,
     }
 
     def write_manifest():
-        _write_atomic(out / "manifest.json", [json.dumps(manifest, indent=2, default=str) + "\n"])
+        text = json.dumps(manifest, indent=2, default=str) + "\n"
+        _write_atomic(out / "manifest.json", [text.encode()])
 
     write_manifest()
     try:

@@ -19,17 +19,14 @@ condition max_i(u_i dt / d_i) <= alpha < 1.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import logging
 import os
-import threading
 from collections import deque
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _native
 from .chemistry import ReactionNetwork, reaction_rates_field
 from .diagnostics import TrajectoryLog
 from .errors import ConfigurationError, InputError
@@ -51,13 +48,6 @@ DEFAULT_ALPHA = 0.9
 # full-interior 101^3 step nor the snapshots3d benchmark ran faster with 1,
 # 2, 4 or 16 planes than with 8, at 1 or 2 threads (ROADMAP item 2).
 BLOCK_PLANES = 8
-# the C compiler that builds _step3d.c on the first 3-D step, and its flags:
-# no contraction into fused multiply-adds and no fast-math, so the kernel
-# rounds each operation as numpy does
-COMPILER = ("cc",)
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_SOURCE = Path(__file__).with_name("_step3d.c")
-_CACHE = Path(__file__).with_name("__pycache__")
 
 
 def stability3d(
@@ -118,7 +108,7 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
     ys, zs = box[1:]
     geom = np.array([*old.shape, ys.start, ys.stop, zs.start, zs.stop], dtype=np.int64)
     weights = np.array([-adv[0], adv[1], adv[2], *dif, dt])
-    kernel = _kernel()
+    kernel = _native.library().adr_step3d_block
     while True:
         try:
             lo, hi = todo.popleft()
@@ -130,50 +120,6 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
                                  offset=(lo, ys.start, zs.start))
         kernel(old.ctypes.data, new.ctypes.data, geom.ctypes.data, weights.ctypes.data,
                lo, hi, network is not None)
-
-
-@functools.cache
-def _kernel():
-    """The kernel of _step3d.c, built into _CACHE on first use.
-
-    The library's name carries a hash of the source and _FLAGS, so a
-    checkout builds it once; a process that finds it loads it without
-    calling COMPILER.  Raises ConfigurationError when the build fails.
-    """
-    import ctypes
-
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(b"\0".join([source, *(f.encode() for f in _FLAGS)])).hexdigest()
-    lib = _CACHE / f"_step3d-{digest[:16]}.so"
-    if not lib.exists():
-        _build(lib)
-    kernel = ctypes.CDLL(str(lib)).adr_step3d_block
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_int64, ctypes.c_int]
-    kernel.restype = None
-    return kernel
-
-
-def _build(lib: Path) -> None:
-    """Compile _SOURCE to lib through a name of this thread's own, renamed into place.
-
-    Processes that build at once each rename a complete library over the
-    other's, so none ever loads a partial file.
-    """
-    import subprocess
-
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    command = [*COMPILER, *_FLAGS, "-o", str(tmp), str(_SOURCE)]
-    try:
-        lib.parent.mkdir(exist_ok=True)
-        done = subprocess.run(command, capture_output=True, text=True)
-    except OSError as exc:
-        error = str(exc)
-    else:
-        error = done.returncode and (done.stderr.strip() or f"exit status {done.returncode}")
-    if error:
-        tmp.unlink(missing_ok=True)
-        raise ConfigurationError(f"3-D runs need a C compiler: `{' '.join(command)}` failed: {error}")
-    os.replace(tmp, lib)
 
 
 def step3d(
@@ -200,8 +146,8 @@ def step3d(
     on pool when pool is given: each thread takes the next block when it is
     free, so a thread that the machine slows down takes fewer blocks instead
     of holding up the step.  The first call in a process loads the compiled
-    kernel (see _kernel), which raises ConfigurationError when it cannot be
-    built.
+    library (see _native.library), which raises ConfigurationError when it
+    cannot be built.
     """
     adv, dif = report.coefficients
     if out is None:
@@ -217,7 +163,7 @@ def step3d(
                          f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
     if not all(s.step == 1 and 1 <= s.start and s.stop <= n - 1 for s, n in zip(box, shape)):
         raise InputError(f"box {box} is not inside the interior of the grid {shape}")
-    _kernel()  # built or loaded here, before any thread needs it
+    _native.library()  # built or loaded here, before any thread needs it
     xs = box[0]
     todo = deque((lo, min(lo + BLOCK_PLANES, xs.stop))
                  for lo in range(xs.start, xs.stop, BLOCK_PLANES))

@@ -782,3 +782,40 @@ def test_csv_writer_streams_lines_to_the_temp_file(tmp_path):
     cli.write_csv(path, ["n", "v"], rows())
     assert not tmp.exists()
     assert path.read_text() == "n,v\n" + "".join(f"{n},0.5\n" for n in range(100_000))
+
+
+def test_failed_csv_write_leaves_neither_file_nor_temp_file(tmp_path):
+    path = tmp_path / "big.csv"
+
+    def rows():
+        for n in range(100_000):
+            if n == 50_000:
+                assert path.with_name(path.name + ".tmp").stat().st_size > 0
+                raise RuntimeError("rows failed halfway")
+            yield (n, 0.5)
+
+    with pytest.raises(RuntimeError, match="halfway"):
+        cli.write_csv(path, ["n", "v"], rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+# YAML 1.1 scalars whose type or value a loader could get wrong: 1e5 has no
+# dot, so it is a string; 1.0e+400 overflows to inf
+YAML_EDGE_SCALARS = [".inf", "-.inf", ".nan", "-0.0", "1e5", "1.0e+400",
+                     "12345678901234567890123456789", "~", "yes"]
+
+
+@pytest.mark.parametrize("text", [
+    *(p.read_text() for p in sorted(bundled_config_path(".").glob("*.yaml"))),
+    *(f"value: {s}\nlist: [{s}, {s}]\n" for s in YAML_EDGE_SCALARS),
+])
+def test_config_loader_reads_what_the_python_safe_loader_reads(text):
+    # the compiled loader, where PyYAML has it, must give the same values
+    assert repr(yaml.load(text, Loader=cli._YAML_LOADER)) == \
+        repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_malformed_config_exits_1(tmp_path, capsys):
+    (tmp_path / "bad.yaml").write_text("grid: [1, 2\nmode: compare\n")
+    assert main([str(tmp_path / "bad.yaml")]) == 1
+    assert "malformed config" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 import importlib
 import pkgutil
+import tomllib
+from pathlib import Path
 
 import pytest
 
 import adr_lab
+from adr_lab import _native
 
 SUBMODULES = [f"adr_lab.{m.name}" for m in pkgutil.iter_modules(adr_lab.__path__)]
 MODULES = ["adr_lab", *SUBMODULES]
@@ -27,3 +30,13 @@ def test_package_exports_each_library_module_list():
     # one owner per public name
     assert sorted({n for n in joined if joined.count(n) > 1}) == []
     assert adr_lab.__all__ == joined
+
+
+def test_package_data_ships_the_compiled_library_source():
+    # the loader compiles _native._SOURCE on first use, so an installed
+    # package must carry it
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    package = Path(adr_lab.__file__).parent
+    shipped = {path for pattern in config["tool"]["setuptools"]["package-data"]["adr_lab"]
+               for path in package.glob(pattern)}
+    assert _native._SOURCE in shipped

@@ -1,15 +1,11 @@
 import dataclasses
-import json
 import os
 import re
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
@@ -28,7 +24,7 @@ from adr_lab import (
     stability3d,
     step3d,
 )
-from adr_lab import cli, solver3d
+from adr_lab import solver3d
 from oracles import (bundled_ozone, exact_stencil, numpy_advance_blocks, reaction_rates,
                      trajectory_points, trajectory_rows)
 
@@ -309,74 +305,6 @@ def test_kernel_divergence_names_the_oracle_step_and_cell(monkeypatch, value, th
     assert messages[0][0] == 1 and "at species 0, cell (7, 3, 5)" in messages[0][1]
 
 
-@pytest.fixture
-def empty_cache(monkeypatch, tmp_path):
-    """The kernel's cache moved to an empty directory, and no kernel loaded in this process."""
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(solver3d, "_CACHE", cache)
-    solver3d._kernel.cache_clear()
-    yield cache
-    solver3d._kernel.cache_clear()
-
-
-def _small_step(values):
-    grid = _spaced_grid(values.shape[1:])
-    return step3d(Field(grid, values), stability3d(BOX_PARAMS, grid, BOX_DT), None, 0.0, BOX_DT)
-
-
-STEP_IN_A_PROCESS = """
-import sys
-from pathlib import Path
-import numpy as np
-from adr_lab import Field, Grid, TransportParams, solver3d, stability3d, step3d
-solver3d._CACHE = Path(sys.argv[1])
-values = np.load(sys.argv[2])
-grid = Grid(values.shape[1:], tuple(float(n - 1) for n in values.shape[1:]))
-rep = stability3d(TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05)), grid, 0.5)
-sys.stdout.write(step3d(Field(grid, values), rep, None, 0.0, 0.5).values.tobytes().hex())
-"""
-
-
-def test_processes_starting_on_an_empty_cache_build_one_library(empty_cache, tmp_path):
-    values = np.random.default_rng(41).uniform(0.0, 1.0, (2, 9, 8, 7))
-    np.save(tmp_path / "values.npy", values)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    command = [sys.executable, "-c", STEP_IN_A_PROCESS, str(empty_cache),
-               str(tmp_path / "values.npy")]
-    runs = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-            for _ in range(2)]
-    outputs = [run.communicate(timeout=120) for run in runs]
-    assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
-    expected = _small_step(values).values.tobytes().hex()
-    assert [out.decode() for out, _ in outputs] == [expected, expected]
-    assert [p.suffix for p in empty_cache.iterdir()] == [".so"]
-
-
-def test_a_built_kernel_is_loaded_without_the_compiler(empty_cache, monkeypatch):
-    values = np.random.default_rng(43).uniform(0.0, 1.0, (2, 9, 8, 7))
-    built = _small_step(values).values
-    (lib,) = empty_cache.iterdir()
-    monkeypatch.setattr(solver3d, "COMPILER", ("false",))
-    solver3d._kernel.cache_clear()
-    assert _small_step(values).values.tobytes() == built.tobytes()
-    assert list(empty_cache.iterdir()) == [lib]
-
-
-def test_missing_compiler_fails_the_run_naming_it(empty_cache, monkeypatch, tmp_path):
-    compiler = str(tmp_path / "no-such-cc")
-    monkeypatch.setattr(solver3d, "COMPILER", (compiler,))
-    raw = yaml.safe_load(cli.bundled_config_path("ozone-3d.yaml").read_text())
-    raw["grid"].update(nx=11, ny=11, nz=11)
-    raw["time"].update(t_end=4.0, snapshots=[0.0, 4.0])
-    (tmp_path / "run.yaml").write_text(yaml.safe_dump(raw))
-    out = tmp_path / "out"
-    assert cli.execute(cli.parse_config(tmp_path / "run.yaml"), out) == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert "C compiler" in manifest["error"] and compiler in manifest["error"]
-    assert not empty_cache.exists() or list(empty_cache.iterdir()) == []
-
-
 @pytest.mark.parametrize("bad", ["box-on-boundary", "box-past-interior", "out-shape",
                                  "unaligned", "out-is-field", "out-overlaps-field",
                                  "fortran-order", "strided"])
@@ -418,11 +346,6 @@ def test_network_of_another_species_count_is_an_input_error(species):
         run3d(field, BOX_PARAMS, net, BOX_DT, 1.0, [1.0])
     with pytest.raises(InputError, match=message):
         step3d(field, stability3d(BOX_PARAMS, grid, BOX_DT), net, 0.0, BOX_DT)
-
-
-def test_kernel_flags_keep_ieee_rounding():
-    assert "-ffp-contract=off" in solver3d._FLAGS
-    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(solver3d._FLAGS)
 
 
 def _recorded_run(init, *args, **kwargs):
