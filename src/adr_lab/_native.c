@@ -1,13 +1,17 @@
 /* The compiled part of adr_lab: the transport update of one block of
- * x-planes of the 3-D upwind step, and the CSV formatter of float64 rows.
+ * x-planes of the 3-D upwind step, the 2-D centred step, the sum of the
+ * terms of the 2-D series at the grid nodes, and the CSV formatter of
+ * float64 rows.
  *
  * adr_lab._native builds this file with -ffp-contract=off, so every
- * floating-point operation of the step is one IEEE operation, rounded as
- * numpy rounds it, and the terms are grouped as in the formula of
- * solver3d's docstring read left to right.  Any change of grouping changes
- * output bytes.  The formatter does integer arithmetic only.
+ * floating-point operation of a step or of the series is one IEEE
+ * operation, rounded as numpy rounds it, and the terms are grouped as in
+ * the numpy form they replace.  Any change of grouping changes output
+ * bytes.  exp is libm's, the function math.exp calls.  The formatter does
+ * integer arithmetic only.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -49,6 +53,72 @@ void adr_step3d_block(const double *restrict old, double *restrict new,
                     new[row + z] = v;
                 }
             }
+}
+
+/* Step the interior nodes of all species of a 2-D field from old to new,
+ * C-contiguous arrays of shape (species, nx, ny) that do not overlap, with
+ * the weights (c0, xp, xm, yp, ym) of solver2d.stability2d, grouped as
+ * (((c0 c + xp c[i+1]) + xm c[i-1]) + yp c[j+1]) + ym c[j-1].  The
+ * boundary nodes of new are not written.
+ */
+void adr_step2d(const double *restrict old, double *restrict new,
+                int64_t species, int64_t nx, int64_t ny,
+                double c0, double xp, double xm, double yp, double ym)
+{
+    for (int64_t s = 0; s < species; s++)
+        for (int64_t i = 1; i < nx - 1; i++) {
+            const int64_t row = (s * nx + i) * ny;
+            for (int64_t j = 1; j < ny - 1; j++) {
+                const double *p = old + row + j;
+                double v = c0 * p[0];
+                v = v + xp * p[ny];
+                v = v + xm * p[-ny];
+                v = v + yp * p[1];
+                v = v + ym * p[-1];
+                new[row + j] = v;
+            }
+        }
+}
+
+/* Two doubles, added and multiplied lane by lane, each lane one IEEE
+ * operation. */
+typedef double pair __attribute__((vector_size(16)));
+
+/* Sum terms terms of the 2-D sine series at the nodes of an nx-by-ny grid
+ * into acc, C-contiguous (nx, ny), starting from 0.0.  Term q adds
+ * (a[q] exp(lam[q] t)) (sx[m[q]-1][i] sy[n[q]-1][j]) to node (i, j); sx
+ * is (max m, nx) and sy (max n, ny), C-contiguous.  Each node sees the
+ * operations, in order, of acc += coef * np.outer(sin_x[m], sin_y[n]) over
+ * the terms.  A row goes two nodes at a time, each lane rounded as the
+ * lone operation is; on x86-64 that is one packed SSE2 operation for two,
+ * which about halved the sum's time on the bundled benchmark-2d.yaml.
+ */
+void adr_sample_series(const double *restrict sx, const double *restrict sy,
+                       const int64_t *m, const int64_t *n, const double *a,
+                       const double *lam, int64_t terms, int64_t nx, int64_t ny,
+                       double t, double *restrict acc)
+{
+    for (int64_t k = 0; k < nx * ny; k++)
+        acc[k] = 0.0;
+    for (int64_t q = 0; q < terms; q++) {
+        const double coef = a[q] * exp(lam[q] * t);
+        const double *x = sx + (m[q] - 1) * nx, *y = sy + (n[q] - 1) * ny;
+        for (int64_t i = 0; i < nx; i++) {
+            const double xi = x[i];
+            const pair c2 = {coef, coef}, x2 = {xi, xi};
+            double *row = acc + i * ny;
+            int64_t j = 0;
+            for (; j + 2 <= ny; j += 2) {
+                pair r, yj;
+                memcpy(&r, row + j, sizeof r);
+                memcpy(&yj, y + j, sizeof yj);
+                r = r + c2 * (x2 * yj);
+                memcpy(row + j, &r, sizeof r);
+            }
+            if (j < ny)
+                row[j] = row[j] + coef * (xi * y[j]);
+        }
+    }
 }
 
 /* The shortest decimal that reads back as a double, by Schubfach

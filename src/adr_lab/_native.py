@@ -1,8 +1,10 @@
 """The package's compiled library: _native.c, built on first use.
 
-It holds the transport kernel of the 3-D step (solver3d) and the formatter
-of the CSV lines of float64 rows (cli.write_csv).  The library is built by
-COMPILER the first time either is needed, never at import, into one
+It holds the kernels of the 3-D step (solver3d) and of the 2-D step
+(solver2d), the sum of the 2-D series at the grid nodes
+(analytic2d.sample_series) and the formatter of the CSV lines of float64
+rows (cli.write_csv).  So every mode needs it.  The library is built by
+COMPILER the first time one of them is needed, never at import, into one
 hash-named file beside the package's bytecode; a missing compiler is a
 ConfigurationError.
 """
@@ -52,6 +54,11 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.adr_step3d_block.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2 + [ctypes.c_int]
     lib.adr_step3d_block.restype = None
+    lib.adr_step2d.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_double] * 5
+    lib.adr_step2d.restype = None
+    lib.adr_sample_series.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + \
+        [ctypes.c_double, ctypes.c_void_p]
+    lib.adr_sample_series.restype = None
     lib.adr_format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                     ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p]
     lib.adr_format_rows.restype = ctypes.c_int64
@@ -92,7 +99,8 @@ def _build(lib: Path) -> None:
     import subprocess
 
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    command = [*COMPILER, *_FLAGS, "-o", str(tmp), str(_SOURCE)]
+    # libm after the source, where the linker still needs it: its exp is math.exp's
+    command = [*COMPILER, *_FLAGS, "-o", str(tmp), str(_SOURCE), "-lm"]
     try:
         lib.parent.mkdir(exist_ok=True)
         done = subprocess.run(command, capture_output=True, text=True)
@@ -102,9 +110,18 @@ def _build(lib: Path) -> None:
         error = done.returncode and (done.stderr.strip() or f"exit status {done.returncode}")
     if error:
         tmp.unlink(missing_ok=True)
-        raise ConfigurationError("the 3-D step and CSV writing need a C compiler: "
-                                 f"`{' '.join(command)}` failed: {error}")
+        raise ConfigurationError("2-D and 3-D stepping, series sampling and CSV writing need "
+                                 f"a C compiler: `{' '.join(command)}` failed: {error}")
     os.replace(tmp, lib)
+
+
+def check_step_buffers(old: np.ndarray, new: np.ndarray) -> None:
+    """Raise InputError unless old and new are aligned, C-contiguous float64 arrays of one
+    shape that share no memory: a step kernel reads old by offsets while it writes new."""
+    layout = [a.dtype == np.float64 and a.flags.aligned and a.flags.c_contiguous for a in (old, new)]
+    if new.shape != old.shape or not all(layout) or np.shares_memory(old, new):
+        raise InputError("field and out values must be aligned, C-contiguous float64 arrays of "
+                         f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
 
 
 def format_lines(values: np.ndarray, heads: list[str]) -> np.ndarray:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigurationError, InputError, NumericError
 from .grid import Field, Grid, zero_dirichlet
 
@@ -114,6 +115,19 @@ class SeriesSolution:
             key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn),
         )
 
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """The arrays m, n, A_mn and eigenvalue(m, n) of the terms in term_order(), made once.
+
+        They are read-only: the compiled sum reads the sine tables at m and n.
+        """
+        order = self.term_order()
+        m, n = np.array(order, dtype=np.int64).T.copy()
+        terms = m, n, self.A[m - 1, n - 1], np.array([self.eigenvalue(*mn) for mn in order])
+        for a in terms:
+            a.flags.writeable = False
+        return terms
+
 
 def build_series(
     f: Callable,
@@ -142,9 +156,11 @@ def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     """Sample the series at every grid node; boundary exactly zero.
 
     The grid must cover the unit square: the series derivation hardwires
-    [0,1]x[0,1].  Accumulates whole-grid terms in the fixed summation order,
-    which matches a pointwise evaluation of the series node by node up to
-    the shared growth factor.
+    [0,1]x[0,1].  The compiled library (see _native.library) sums the terms
+    at every node in the fixed summation order, each term's coefficient
+    A_mn exp(lambda_mn t) taken with libm's exp, as math.exp does; this
+    matches a pointwise evaluation of the series node by node up to the
+    shared growth factor.
     """
     if not all(math.isclose(L, 1.0) for L in grid.lengths):
         raise ConfigurationError(
@@ -154,14 +170,15 @@ def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     if t < 0:
         raise InputError(f"series evaluation requires t >= 0, got {t}")
     x, y = grid.coords()
-    sin_x = {m: np.sin(m * np.pi * x) for m in range(1, sol.M + 1)}
-    sin_y = {n: np.sin(n * np.pi * y) for n in range(1, sol.N + 1)}
-    acc = np.zeros(grid.shape)
-    for m, n in sol.term_order():
-        coef = sol.A[m - 1, n - 1] * math.exp(sol.eigenvalue(m, n) * t)
-        acc += coef * np.outer(sin_x[m], sin_y[n])
-    growth = np.exp(sol.u / (2.0 * sol.k) * x)
-    vals = acc * growth[:, None] * growth[None, :]
+    # one np.sin call per mode, as ever: a vectorised sin may round by position
+    sin_x = np.array([np.sin(m * np.pi * x) for m in range(1, sol.M + 1)])
+    sin_y = np.array([np.sin(n * np.pi * y) for n in range(1, sol.N + 1)])
+    acc = np.empty(grid.shape)
+    tables = [a.ctypes.data for a in (sin_x, sin_y, *sol.terms)]
+    _native.library().adr_sample_series(*tables, sol.M * sol.N, *grid.shape, float(t),
+                                        acc.ctypes.data)
+    gx, gy = (np.exp(sol.u / (2.0 * sol.k) * c) for c in (x, y))
+    vals = acc * gx[:, None] * gy[None, :]
     if not np.isfinite(vals).all():
         raise NumericError(f"series sampling produced non-finite values at t={t}")
     return zero_dirichlet(Field(grid, vals[None, :, :]))
@@ -169,4 +186,4 @@ def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
 
 def coefficient_rows(sol: SeriesSolution) -> list[tuple[int, int, float]]:
     """(m, n, A_mn) rows for CSV export, in the fixed summation order."""
-    return [(m, n, float(sol.A[m - 1, n - 1])) for m, n in sol.term_order()]
+    return list(zip(*(v.tolist() for v in sol.terms[:3])))

@@ -14,6 +14,7 @@ reads only the previous buffer, so results are independent of sweep order.
 
 from __future__ import annotations
 
+from . import _native
 from .errors import ConfigurationError
 from .grid import Field, Grid, TransportParams
 from .grid import zero_dirichlet  # noqa: F401 (patched by perfbench/tracing.py)
@@ -59,17 +60,16 @@ def step2d(field: Field, report: Stability, out: Field | None = None) -> Field:
     """One double-buffered step of field with report's weights; returns the Field written.
 
     The new state goes to the interior of out, whose boundary nodes are
-    left as they are, or else to a new Field with a zero boundary.
+    left as they are, or else to a new Field with a zero boundary.  A
+    compiled loop groups the update as in the module docstring, read left
+    to right; see _native.check_step_buffers for the values it takes.
     """
-    c0, xp, xm, yp, ym = report.coefficients
-    old = field.values
     if out is None:
         out = Field.zeros(field.grid, field.species_count)
-    out.values[:, 1:-1, 1:-1] = (
-        c0 * old[:, 1:-1, 1:-1]
-        + xp * old[:, 2:, 1:-1] + xm * old[:, :-2, 1:-1]
-        + yp * old[:, 1:-1, 2:] + ym * old[:, 1:-1, :-2]
-    )
+    old, new = field.values, out.values
+    _native.check_step_buffers(old, new)
+    _native.library().adr_step2d(old.ctypes.data, new.ctypes.data, *old.shape,
+                                 *report.coefficients)
     return out
 
 

@@ -157,10 +157,7 @@ def step3d(
     _check_species(field, network)
     # the kernel reads one cell past each side of box and trusts these
     old, new = field.values, out.values
-    layout = [a.dtype == np.float64 and a.flags.aligned and a.flags.c_contiguous for a in (old, new)]
-    if new.shape != old.shape or not all(layout) or np.shares_memory(old, new):
-        raise InputError("field and out values must be aligned, C-contiguous float64 arrays of "
-                         f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
+    _native.check_step_buffers(old, new)
     if not all(s.step == 1 and 1 <= s.start and s.stop <= n - 1 for s, n in zip(box, shape)):
         raise InputError(f"box {box} is not inside the interior of the grid {shape}")
     _native.library()  # built or loaded here, before any thread needs it

@@ -16,12 +16,14 @@ import numpy as np
 
 from adr_lab import (
     ConstantRate,
+    Field,
     InputError,
     NumericError,
     PointSource,
     ReactionNetwork,
     SeriesSolution,
     TrajectoryLog,
+    zero_dirichlet,
 )
 from adr_lab.analytic2d import _weighted_samples, default_quad_points
 from adr_lab.chemistry import reaction_rates_field
@@ -57,21 +59,54 @@ def eval_series(sol: SeriesSolution, t: float, x: float, y: float) -> float:
         raise InputError(f"series evaluation requires t >= 0, got {t}")
     growth = math.exp(sol.u * (x + y) / (2.0 * sol.k))
     total = 0.0
-    for m, n in sol.term_order():
-        total += (
-            sol.A[m - 1, n - 1]
-            * math.exp(sol.eigenvalue(m, n) * t)
-            * math.sin(m * math.pi * x)
-            * math.sin(n * math.pi * y)
-        )
+    for m, n, a, lam in zip(*(v.tolist() for v in sol.terms)):
+        total += a * math.exp(lam * t) * math.sin(m * math.pi * x) * math.sin(n * math.pi * y)
     value = growth * total
     if not math.isfinite(value):
         raise NumericError(f"series evaluation non-finite at t={t}, ({x}, {y})")
     return value
 
 
+def numpy_sample_series(sol: SeriesSolution, grid, t: float) -> Field:
+    """sample_series with numpy summing the terms, a whole-grid term at a time.
+
+    For each term in term_order() it adds A_mn exp(lambda_mn t) times the
+    outer product of the mode's sines to the grid, starting from zeros, with
+    math.exp and eigenvalue() called term by term.  The compiled sum must
+    give the same bytes.
+    """
+    x, y = grid.coords()
+    sin_x = {m: np.sin(m * np.pi * x) for m in range(1, sol.M + 1)}
+    sin_y = {n: np.sin(n * np.pi * y) for n in range(1, sol.N + 1)}
+    acc = np.zeros(grid.shape)
+    for m, n in sol.term_order():
+        coef = sol.A[m - 1, n - 1] * math.exp(sol.eigenvalue(m, n) * t)
+        acc += coef * np.outer(sin_x[m], sin_y[n])
+    gx, gy = (np.exp(sol.u / (2.0 * sol.k) * c) for c in (x, y))
+    return zero_dirichlet(Field(grid, (acc * gx[:, None] * gy[None, :])[None]))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference schemes
+
+
+def numpy_step2d(field: Field, report, out: Field | None = None) -> Field:
+    """solver2d.step2d in numpy, one whole-array operation per term.
+
+    Each interior node's update is grouped as in solver2d's docstring read
+    left to right; the boundary of out is left as it is.  The compiled
+    kernel must give the same bytes.
+    """
+    c0, xp, xm, yp, ym = report.coefficients
+    old = field.values
+    if out is None:
+        out = Field.zeros(field.grid, field.species_count)
+    out.values[:, 1:-1, 1:-1] = (
+        c0 * old[:, 1:-1, 1:-1]
+        + xp * old[:, 2:, 1:-1] + xm * old[:, :-2, 1:-1]
+        + yp * old[:, 1:-1, 2:] + ym * old[:, 1:-1, :-2]
+    )
+    return out
 
 
 def _sine_transform(values: np.ndarray, axis: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
     ConfigurationError,
@@ -11,7 +12,7 @@ from adr_lab import (
     sample_series,
 )
 from adr_lab.analytic2d import coefficient_rows
-from oracles import eval_series, fourier_coefficient
+from oracles import eval_series, fourier_coefficient, numpy_sample_series
 
 U, K = 5.0, 0.5
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -71,6 +72,42 @@ def test_term_order_sorted_by_decay_rate():
     assert len(order) == 16 and len(set(order)) == 16
     # fixed deterministic tie-break
     assert order == sol.term_order()
+
+
+def test_terms_are_the_term_order_with_its_amplitudes_and_eigenvalues():
+    sol = build_series(SINE, U, K, M=5, N=3)
+    m, n, amplitudes, eigenvalues = sol.terms
+    order = sol.term_order()
+    assert list(zip(m.tolist(), n.tolist())) == order
+    assert amplitudes.tobytes() == np.array([sol.A[i - 1, j - 1] for i, j in order]).tobytes()
+    assert eigenvalues.tobytes() == np.array([sol.eigenvalue(*mn) for mn in order]).tobytes()
+    assert sol.terms is sol.terms  # computed once per solution
+    with pytest.raises(ValueError, match="read-only"):
+        m[0] = 41
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 40), N=st.integers(1, 40), nx=st.integers(3, 40),
+       ny=st.integers(3, 40), u=st.floats(0.0, 6.0), k=st.floats(0.3, 1.0),
+       t=st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+def test_compiled_sampler_matches_numpy_oracle_bitwise(M, N, nx, ny, u, k, t):
+    grid = Grid((nx, ny + (ny == nx)), (1.0, 1.0))  # never square
+    sol = build_series(SINE, u, k, M=M, N=N)
+    got = sample_series(sol, grid, t).values
+    expected = numpy_sample_series(sol, grid, t).values
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_non_square_grid_samples_the_series_at_its_nodes():
+    # each axis takes the growth factor of its own coordinates
+    sol = build_series(SINE, U, K, M=6, N=6)
+    grid = Grid((9, 6), (1.0, 1.0))
+    field = sample_series(sol, grid, 0.01)
+    x, y = grid.coords()
+    for i in range(9):
+        for j in range(6):
+            assert field.values[0, i, j] == pytest.approx(
+                eval_series(sol, 0.01, x[i], y[j]), rel=1e-12, abs=1e-15)
 
 
 def test_eigenvalue_formula():

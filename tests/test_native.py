@@ -11,7 +11,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from adr_lab import Field, Grid, InputError, TransportParams, _native, cli, stability3d, step3d
+from adr_lab import (Field, Grid, InputError, TransportParams, _native, cli, stability2d,
+                     stability3d, step2d, step3d)
 
 
 @pytest.fixture
@@ -91,13 +92,52 @@ def test_missing_compiler_fails_the_run_naming_it(empty_cache, monkeypatch, tmp_
 
 
 def test_missing_compiler_fails_a_2d_run_leaving_no_csv(empty_cache, monkeypatch, tmp_path):
-    # a 2-D run needs the compiler only to write its snapshot slices
+    # a 2-D run needs the compiler at its first step
     raw = {"mode": "simulate2d", "grid": {"nx": 8, "ny": 8, "Lx": 1.0, "Ly": 1.0},
            "transport": {"u": [5.0, 5.0], "k": [0.5, 0.5]},
            "time": {"dt": 4e-4, "t_end": 0.002}, "initial": {"kind": "sine_product"}}
     code, out = _run_without_compiler(monkeypatch, tmp_path, raw)
     assert code == 1
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_missing_compiler_fails_a_compare_run_naming_it(empty_cache, monkeypatch, tmp_path):
+    raw = yaml.safe_load(cli.bundled_config_path("benchmark-2d.yaml").read_text())
+    raw["grid"].update(nx=8, ny=8)
+    raw["time"].update(dt=4e-4, t_end=0.002, snapshots=[0.002])
+    raw["series"].update(M=4, N=4)
+    code, out = _run_without_compiler(monkeypatch, tmp_path, raw)
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def _step_2d(field, out):
+    rep = stability2d(TransportParams(u=(0.3, 0.2), k=(0.05, 0.05)), field.grid, 0.5)
+    return step2d(field, rep, out)
+
+
+def _step_3d(field, out):
+    rep = stability3d(TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.05, 0.05)), field.grid, 0.5)
+    return step3d(field, rep, None, 0.0, 0.5, out=out)
+
+
+@pytest.mark.parametrize("step, shape", [(_step_2d, (2, 7, 6)), (_step_3d, (2, 7, 6, 5))])
+@pytest.mark.parametrize("bad", ["in-place", "strided", "float32"])
+def test_step_kernels_reject_an_out_they_cannot_write(step, shape, bad):
+    # both kernels read field and write out by the offsets of one C layout
+    grid = Grid(shape[1:], tuple(float(n - 1) for n in shape[1:]))
+    field = Field(grid, np.random.default_rng(5).uniform(0.0, 1.0, shape))
+    out = Field.zeros(grid, shape[0])
+    if bad == "in-place":
+        out = field
+    elif bad == "strided":
+        out.values = np.zeros((shape[0], 2 * shape[1], *shape[2:]))[:, ::2]
+    else:
+        out.values = out.values.astype(np.float32)
+    before = field.values.copy()
+    with pytest.raises(InputError, match="C-contiguous float64"):
+        step(field, out)
+    assert field.values.tobytes() == before.tobytes()
 
 
 def test_kernel_flags_keep_ieee_rounding():
