@@ -7,8 +7,8 @@
  * floating-point operation of a step or of the series is one IEEE
  * operation, rounded as numpy rounds it, and the terms are grouped as in
  * the numpy form they replace.  Any change of grouping changes output
- * bytes.  exp is libm's, the function math.exp calls.  The formatter does
- * integer arithmetic only.
+ * bytes.  exp is libm's, the function math.exp calls.  The formatter
+ * converts with integer arithmetic only.
  */
 
 #include <math.h>
@@ -91,7 +91,9 @@ typedef double pair __attribute__((vector_size(16)));
  * operations, in order, of acc += coef * np.outer(sin_x[m], sin_y[n]) over
  * the terms.  A row goes two nodes at a time, each lane rounded as the
  * lone operation is; on x86-64 that is one packed SSE2 operation for two,
- * which about halved the sum's time on the bundled benchmark-2d.yaml.
+ * which about halved the sum's time on the bundled benchmark-2d.yaml.  A
+ * term of coef +-0.0 is skipped: times the finite sines it would add +-0.0
+ * to sums that start at +0.0 and so are never -0.0.
  */
 void adr_sample_series(const double *restrict sx, const double *restrict sy,
                        const int64_t *m, const int64_t *n, const double *a,
@@ -102,6 +104,8 @@ void adr_sample_series(const double *restrict sx, const double *restrict sy,
         acc[k] = 0.0;
     for (int64_t q = 0; q < terms; q++) {
         const double coef = a[q] * exp(lam[q] * t);
+        if (coef == 0.0)
+            continue;
         const double *x = sx + (m[q] - 1) * nx, *y = sy + (n[q] - 1) * ny;
         for (int64_t i = 0; i < nx; i++) {
             const double xi = x[i];
@@ -281,27 +285,23 @@ static char *put_double(char *p, double v)
     return p;
 }
 
-/* Write rows lines to out and return their byte count.  heads holds the
- * rows heads of the lines in size bytes, one after another with a newline
- * between each two: rows - 1 newlines in all.  Line i is head i, then the
- * reprs of row i of values, a C-contiguous (rows, cols) array, joined by
- * commas, then a newline.  out holds size + rows * (25 cols + 1) bytes.
- */
+/* Write the lines of values, a C-contiguous (rows, cols) array, to out,
+ * which holds rows * (25 cols + 1) bytes; return their byte count, or -1 if
+ * a column with integer[j] set holds a value that is not whole or not below
+ * 2^53 in magnitude.  A line is the reprs of a row joined by commas, then a
+ * newline; an integer column drops the ".0" of repr(v + 0.0), +0.0 for -0.0. */
 int64_t adr_format_rows(const double *values, int64_t rows, int64_t cols,
-                        const char *heads, int64_t size, char *out)
+                        const uint8_t *integer, char *out)
 {
-    const char *end = heads + size;
     char *p = out;
     for (int64_t i = 0; i < rows; i++) {
-        const char *stop = i + 1 < rows ? memchr(heads, '\n', (size_t)(end - heads)) : end;
-        memcpy(p, heads, (size_t)(stop - heads));
-        p += stop - heads;
-        heads = stop + 1;
         const double *row = values + i * cols;
         for (int64_t j = 0; j < cols; j++) {
+            if (integer[j] && !(fabs(row[j]) < 0x1p53 && row[j] == (double)(int64_t)row[j]))
+                return -1;
             if (j)
                 *p++ = ',';
-            p = put_double(p, row[j]);
+            p = integer[j] ? put_double(p, row[j] + 0.0) - 2 : put_double(p, row[j]);
         }
         *p++ = '\n';
     }

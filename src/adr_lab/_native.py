@@ -2,11 +2,11 @@
 
 It holds the kernels of the 3-D step (solver3d) and of the 2-D step
 (solver2d), the sum of the 2-D series at the grid nodes
-(analytic2d.sample_series) and the formatter of the CSV lines of float64
-rows (cli.write_csv).  So every mode needs it.  The library is built by
-COMPILER the first time one of them is needed, never at import, into one
-hash-named file beside the package's bytecode; a missing compiler is a
-ConfigurationError.
+(analytic2d.sample_series) and the formatter of every CSV line, the rows
+of float64 tables with marked integer columns (cli.write_csv).  So every
+mode needs it.  The library is built by COMPILER the first time one of
+them is needed, never at import, into one hash-named file beside the
+package's bytecode; a missing compiler is a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def library() -> ctypes.CDLL:
     lib.adr_sample_series.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + \
         [ctypes.c_double, ctypes.c_void_p]
     lib.adr_sample_series.restype = None
-    lib.adr_format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                                    ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.adr_format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
     lib.adr_format_rows.restype = ctypes.c_int64
     low, high = (ctypes.c_int32 * 2).in_dll(lib, "adr_pow10_range")
     table = _pow10_table(low, high)
@@ -124,26 +123,26 @@ def check_step_buffers(old: np.ndarray, new: np.ndarray) -> None:
                          f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
 
 
-def format_lines(values: np.ndarray, heads: list[str]) -> np.ndarray:
+def format_lines(values: np.ndarray, integer=()) -> np.ndarray:
     """The CSV lines of values' rows, as a uint8 array of their UTF-8 bytes.
 
     values is a 2-D float64 array, copied to C order if it is not in it.
-    Line i is heads[i], then the values of row i joined by commas, then a
-    newline: exactly the text of heads[i] + ",".join(map(repr,
-    values[i].tolist())) + "\n", so each value is the shortest decimal that
-    reads back as it.  A head holds no newline.  The lines take at most the
-    bytes of the heads plus VALUE_BYTES * cols + 1 per row.
+    Line i is the values of row i joined by commas, then a newline: a value
+    of a column whose index is in integer is written as str(int(v)), any
+    other as repr(v), the shortest decimal that reads back as it.  Raises
+    InputError unless every value of an integer column is a whole number
+    below 2**53 in magnitude.  The lines take at most VALUE_BYTES * cols + 1
+    bytes per row.
     """
     values = np.ascontiguousarray(values)
-    # the heads go to the library joined by newlines, which delimit them
-    text = "\n".join(heads).encode()
-    if (values.dtype != np.float64 or values.ndim != 2 or len(heads) != len(values)
-            or text.count(b"\n") != max(len(heads) - 1, 0)):
-        raise InputError(f"expected a 2-D float64 array and one head without a newline per "
-                         f"row, got {values.dtype} values of shape {values.shape} and "
-                         f"{len(heads)} heads")
+    if values.dtype != np.float64 or values.ndim != 2:
+        raise InputError(f"expected a 2-D float64 array, got {values.dtype} of shape {values.shape}")
     rows, cols = values.shape
-    out = np.empty(len(text) + rows * (VALUE_BYTES * cols + 1), dtype=np.uint8)
-    size = library().adr_format_rows(values.ctypes.data, rows, cols, text, len(text),
+    flags = np.isin(np.arange(cols), integer).astype(np.uint8)
+    out = np.empty(rows * (VALUE_BYTES * cols + 1), dtype=np.uint8)
+    size = library().adr_format_rows(values.ctypes.data, rows, cols, flags.ctypes.data,
                                      out.ctypes.data)
+    if size < 0:
+        raise InputError(f"columns {sorted(set(integer))} must hold whole numbers below 2**53 "
+                         "in magnitude")
     return out[:size]

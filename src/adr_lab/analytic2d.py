@@ -184,6 +184,7 @@ def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     return zero_dirichlet(Field(grid, vals[None, :, :]))
 
 
-def coefficient_rows(sol: SeriesSolution) -> list[tuple[int, int, float]]:
-    """(m, n, A_mn) rows for CSV export, in the fixed summation order."""
-    return list(zip(*(v.tolist() for v in sol.terms[:3])))
+def coefficient_rows(sol: SeriesSolution) -> np.ndarray:
+    """The (M*N, 3) float64 table of (m, n, A_mn) rows for CSV export, in the
+    fixed summation order; m and n are whole numbers."""
+    return np.column_stack(sol.terms[:3])

@@ -14,6 +14,7 @@ registered for (j, cell).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,13 +155,13 @@ def _add_rates(network: ReactionNetwork, h: np.ndarray, conc: np.ndarray,
     """out[j] = 0 + sum over kappa of sto[j, kappa] * g_kappa, added left to right.
 
     g_kappa = h[kappa] * prod c_nu ** loss[nu, kappa], multiplied left to
-    right, is built in g; x + (-1)*g is x - g.  Species that no reaction
-    changes are left alone.
+    right (a power c ** l as c * c * ... * c first), is built in g;
+    x + (-1)*g is x - g.  Species that no reaction changes are left alone.
     """
     sto = network.stoichiometry
     started = np.zeros(network.species_count, dtype=bool)
     for kappa in range(network.reaction_count):
-        factors = [conc[nu] if exp == 1 else conc[nu] ** exp
+        factors = [functools.reduce(np.multiply, [conc[nu]] * exp)
                    for nu, exp in enumerate(network.loss[:, kappa]) if exp]
         if factors:
             np.multiply(h[kappa], factors[0], out=g)

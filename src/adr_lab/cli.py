@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import itertools
 import json
 import math
@@ -379,74 +378,43 @@ def _write_atomic(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-CSV_CHUNK_LINES = 16384  # lines of sequence rows joined per write
-CSV_CHUNK_BYTES = 1 << 19  # bound of the values' bytes of the array rows formatted per call
+CSV_CHUNK_BYTES = 1 << 19  # bound of the values' bytes formatted per call
 
 
-def _line_chunks(rows, heads):
-    """Yield the bytes of the lines of rows, a bounded chunk at a time (see write_csv)."""
-    lines = []
-    for row in rows:
-        if not isinstance(row, np.ndarray):
-            lines.append(next(heads) + ",".join(map(repr, row)) + "\n")
-            if len(lines) == CSV_CHUNK_LINES:
-                yield "".join(lines).encode()
-                lines = []
-            continue
-        if lines:
-            yield "".join(lines).encode()
-            lines = []
-        step = max(1, CSV_CHUNK_BYTES // (_native.VALUE_BYTES * row.shape[1] + 1))
-        for lo in range(0, len(row), step):
-            block = row[lo:lo + step]
-            yield _native.format_lines(block, list(itertools.islice(heads, len(block))))
-    if lines:
-        yield "".join(lines).encode()
+def write_csv(path: Path, header: list[str], tables, integer=()) -> None:
+    """Write the header line, then one line per row of each table in tables.
 
-
-def write_csv(path: Path, header: list[str], rows, prefixes=None) -> None:
-    """Write the header line, then one line per row.
-
-    A row is a sequence of Python ints and floats; an item of rows that is a
-    2-D float64 array stands for the array's rows.  A value is written as
-    its repr, which for a Python float is the shortest form that reads back
-    as the same number.  Array rows are formatted by the compiled formatter
-    (_native.format_lines), which writes the same bytes, in chunks of at
-    most CSV_CHUNK_BYTES of values; the first array row builds or loads the
-    compiled library, which raises ConfigurationError when it cannot be
-    built.  prefixes, when given, holds the start of each row's line: the
-    text of its leading columns, with their commas, and no newline.  The
-    lines are streamed to the temp file in chunks; no whole-file text is
-    built, and a failure removes the temp file and leaves path as it was.
+    A table is a 2-D float64 array.  A value is written as its repr, the
+    shortest decimal that reads back as it, or as str(int(v)) in a column
+    whose index is in integer (see _native.format_lines).  The compiled
+    formatter writes each table in chunks of at most CSV_CHUNK_BYTES of
+    values; the first chunk builds or loads the compiled library, which
+    raises ConfigurationError when it cannot be built.  The lines are
+    streamed to the temp file in chunks; no whole-file text is built, and a
+    failure removes the temp file and leaves path as it was.
     """
-    heads = itertools.repeat("") if prefixes is None else iter(prefixes)
-    _write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()],
-                                        _line_chunks(rows, heads)))
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for table in tables:
+            step = max(1, CSV_CHUNK_BYTES // (_native.VALUE_BYTES * table.shape[1] + 1))
+            for lo in range(0, len(table), step):
+                yield _native.format_lines(table[lo:lo + step], integer)
 
-
-@functools.lru_cache(maxsize=1)
-def _slice_prefixes(shape: tuple[int, ...], coords: tuple[bytes, ...] | None) -> tuple[str, ...]:
-    """The "a,b," text that starts each row of a slice: its indices, or the
-    float64 axis values whose bytes coords holds (bytes tell -0.0 from 0.0)."""
-    axes = ([range(n) for n in shape] if coords is None
-            else [np.frombuffer(c).tolist() for c in coords])
-    return tuple(f"{a!r},{b!r}," for a, b in itertools.product(*axes))
+    _write_atomic(path, chunks())
 
 
 def write_slice(path: Path, plane: np.ndarray, species: list[str],
                 labels=("i", "j"), coords=None) -> None:
     """Write a (species, a, b) plane as one CSV row per node.
 
-    A row holds the node's two coordinates (its indices, unless coords gives
-    the axis values) and then each species.  The coordinate text is built
-    once for the run's shape and coordinates, not once per slice; the
-    species values are the plane's array rows, which write_csv formats with
-    the compiled formatter, so the first slice of a process may build the
-    compiled library.
+    A row holds the node's two coordinates, its indices as integers unless
+    coords gives the float64 axis values, then each species.  The first
+    slice of a process may build the compiled formatter's library.
     """
-    key = None if coords is None else tuple(np.asarray(c, float).tobytes() for c in coords)
-    write_csv(path, [*labels, *species], [plane.reshape(plane.shape[0], -1).T],
-              _slice_prefixes(plane.shape[1:], key))
+    axes = [np.arange(n) for n in plane.shape[1:]] if coords is None else coords
+    nodes = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    table = np.column_stack([*nodes, plane.reshape(plane.shape[0], -1).T])
+    write_csv(path, [*labels, *species], [table], (0, 1) if coords is None else ())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +456,7 @@ def _series(cfg: RunConfig):
 
 def _run_analytic2d(cfg: RunConfig, out: Path, override: bool, threads: int) -> dict:
     sol = _series(cfg)
-    write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], coefficient_rows(sol))
+    write_csv(out / "coefficients.csv", ["m", "n", "A_mn"], [coefficient_rows(sol)], (0, 1))
     for t in cfg.snapshot_times:
         field = sample_series(sol, cfg.grid, t)
         write_slice(out / f"series_t{t!r}.csv", field.values, cfg.species,
@@ -518,9 +486,11 @@ def _run_simulate3d(cfg: RunConfig, out: Path, override: bool, threads: int) -> 
         write_slice(out / f"slice_t{step}.csv", plane, cfg.species)
     log = series.trajectories
     if log.cells:
-        cells = [",".join(map(str, cell)) + "," for cell in log.cells]
-        write_csv(out / "trajectories.csv", ["t", "i", "j", "k", *cfg.species], log.data,
-                  (t + cell for t in map("{!r},".format, log.times) for cell in cells))
+        cells = np.array(log.cells, dtype=float)
+        blocks = (np.column_stack([np.full(len(cells), t), cells, values])
+                  for t, values in zip(log.times, log.data))
+        write_csv(out / "trajectories.csv", ["t", "i", "j", "k", *cfg.species], blocks,
+                  (1, 2, 3))
     updates = cfg.grid.num_cells * len(cfg.species) * step_count(cfg.t_end, cfg.dt)
     ok, violation = positivity_check(series)
     return dict(
@@ -549,7 +519,7 @@ def _run_compare(cfg: RunConfig, out: Path, override: bool, threads: int) -> dic
     ]
     write_csv(out / "error_report.csv",
               ["t", "max_abs_error", "l2_error"],
-              [(r.t, r.max_abs_error, r.l2_error) for r in reports])
+              [np.array([(r.t, r.max_abs_error, r.l2_error) for r in reports])])
     return dict(keys, max_errors=[r.max_abs_error for r in reports])
 
 
@@ -565,8 +535,8 @@ def _run_converge(cfg: RunConfig, out: Path, override: bool, threads: int) -> di
                                        _sine_product(cfg.grid))
     write_csv(out / "convergence.csv",
               ["nx", "dx", "dt", "max_abs_error"],
-              [(g.shape[0], g.spacing[0], dt, r.max_abs_error)
-               for (g, dt), r in zip(levels, reports)])
+              [np.array([(g.shape[0], g.spacing[0], dt, r.max_abs_error)
+                         for (g, dt), r in zip(levels, reports)])], (0,))
     print(f"measured spatial order: {order:.4f}")
     return {"measured_order": order}
 

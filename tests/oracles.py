@@ -226,7 +226,8 @@ def reaction_rates(
         for nu in range(network.species_count):
             exp = network.loss[nu, kappa]
             if exp:        # skipping exp == 0 realizes the 0**0 = 1 convention
-                monomial *= c[nu] ** exp
+                # c**exp as c * c * ... * c, multiplied left to right
+                monomial *= math.prod([c[nu]] * exp)
         g[kappa] = h[kappa] * monomial
         if not math.isfinite(g[kappa]):
             raise NumericError(f"non-finite rate in reaction {kappa} at t={t}")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adr_lab import (
     ConfigurationError,
@@ -86,10 +86,25 @@ def test_terms_are_the_term_order_with_its_amplitudes_and_eigenvalues():
         m[0] = 41
 
 
+# at t = 0.09 the 40 x 40 series of u = 5, k = 0.5 has terms whose coefficient
+# A_mn exp(lambda_mn t) underflows to exactly 0.0 and terms where it is subnormal
+UNDERFLOW = dict(M=40, N=40, u=5.0, k=0.5, t=0.09)
+
+
+def test_underflow_example_has_zero_and_subnormal_coefficients():
+    sol = build_series(SINE, UNDERFLOW["u"], UNDERFLOW["k"], M=40, N=40)
+    _, _, a, lam = sol.terms
+    coef = np.array([ai * math.exp(li * UNDERFLOW["t"]) for ai, li in zip(a, lam)])
+    assert (coef == 0.0).any()
+    assert ((coef != 0.0) & (np.abs(coef) < np.finfo(float).tiny)).any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(M=st.integers(1, 40), N=st.integers(1, 40), nx=st.integers(3, 40),
        ny=st.integers(3, 40), u=st.floats(0.0, 6.0), k=st.floats(0.3, 1.0),
-       t=st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+       t=st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.just(UNDERFLOW["t"])))
+@example(nx=9, ny=7, **UNDERFLOW)
+@example(nx=40, ny=39, **UNDERFLOW)
 def test_compiled_sampler_matches_numpy_oracle_bitwise(M, N, nx, ny, u, k, t):
     grid = Grid((nx, ny + (ny == nx)), (1.0, 1.0))  # never square
     sol = build_series(SINE, u, k, M=M, N=N)
@@ -162,9 +177,9 @@ def test_series_decays_in_time():
 def test_coefficient_rows_layout():
     sol = build_series(SINE, U, K, M=3, N=2)
     rows = coefficient_rows(sol)
-    assert len(rows) == 6
-    assert rows[0][:2] == (1, 1)
-    assert all(row[2] == sol.A[row[0] - 1, row[1] - 1] for row in rows)
+    assert rows.dtype == np.float64 and rows.shape == (6, 3)
+    assert rows[0, :2].tolist() == [1, 1]
+    assert all(a == sol.A[int(m) - 1, int(n) - 1] for m, n, a in rows)
 
 
 def test_build_series_deterministic():

@@ -176,6 +176,23 @@ def test_field_rates_match_pointwise():
                                    rtol=1e-13, atol=1e-300)
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_powers_are_products_multiplied_left_to_right(order):
+    # order A -> B: the rate is k * (c * c * ... * c), the power multiplied out
+    # left to right before k, bit for bit in the field rates and the oracle
+    k = 3.7e-13
+    net = ReactionNetwork(species=("A", "B"), loss=np.array([[order], [0]]),
+                          gain=np.array([[0], [1]]), rates=(ConstantRate(k),), sources=())
+    conc = np.random.default_rng(order).uniform(0.0, 1e12, size=(2, 6, 5, 4))
+    expected = np.array([k * math.prod([c] * order) for c in conc[0].ravel().tolist()])
+    rates = reaction_rates_field(net, 0.0, conc)
+    assert rates[1].tobytes() == expected.reshape(conc.shape[1:]).tobytes()
+    assert rates[0].tobytes() == (-order * expected).reshape(conc.shape[1:]).tobytes()
+    for n, cell in enumerate(np.ndindex(conc.shape[1:])):
+        pointwise = reaction_rates(net, 0.0, conc[(slice(None), *cell)])
+        assert pointwise.tobytes() == np.array([-order * expected[n], expected[n]]).tobytes()
+
+
 def test_classify_H():
     holds, beta = classify_H(_two_species_chain())
     assert holds and beta == 1

@@ -670,15 +670,21 @@ AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1e16, float("nan"), float("inf"), fl
 
 def test_csv_writer_matches_value_by_value_formatting(tmp_path):
     rows = [AWKWARD_VALUES, AWKWARD_VALUES[::-1]]
-    cli.write_csv(tmp_path / "a.csv", ["h"] * len(AWKWARD_VALUES), rows)
-    prefixed = tmp_path / "b.csv"
-    cli.write_csv(prefixed, ["p", "h"], [[v] for v in AWKWARD_VALUES],
-                  [f"{n}," for n in range(len(AWKWARD_VALUES))])
+    cli.write_csv(tmp_path / "a.csv", ["h"] * len(AWKWARD_VALUES), [np.array(rows, float)])
+    # the row index leads each line, as an integer column; so do the whole
+    # numbers among the awkward values, -0.0 too
+    indexed = tmp_path / "b.csv"
+    cli.write_csv(indexed, ["p", "h"], [np.column_stack([range(13), AWKWARD_VALUES])], (0,))
+    whole = [0, 7, -3, -0.0, 2**53 - 1]
+    cli.write_csv(tmp_path / "c.csv", ["w"] * 5, [np.array([whole, whole[::-1]], float)],
+                  range(5))
     expected = [",".join(["h"] * len(AWKWARD_VALUES))]
-    expected += [",".join(csv_field(v) for v in row) for row in rows]
+    expected += [",".join(csv_field(float(v)) for v in row) for row in rows]
     assert (tmp_path / "a.csv").read_text() == "\n".join(expected) + "\n"
-    expected = ["p,h"] + [f"{n},{csv_field(v)}" for n, v in enumerate(AWKWARD_VALUES)]
-    assert prefixed.read_text() == "\n".join(expected) + "\n"
+    expected = ["p,h"] + [f"{n},{csv_field(float(v))}" for n, v in enumerate(AWKWARD_VALUES)]
+    assert indexed.read_text() == "\n".join(expected) + "\n"
+    assert (tmp_path / "c.csv").read_text() == \
+        "w,w,w,w,w\n0,7,-3,0,9007199254740991\n9007199254740991,0,-3,7,0\n"
 
 
 @pytest.mark.parametrize("coords", [None, (np.array([0.0, 0.1, 5e-324]), np.array([-0.0, 1e16]))])
@@ -727,7 +733,7 @@ def test_slice_writer_zero_rows_match_value_by_value_formatting(tmp_path, plane,
         _expected_csv(["x", "y", "A", "B", "C"], _plane_rows(plane, axes))
 
 
-def test_slice_prefixes_follow_shape_and_coordinate_bits(tmp_path):
+def test_slice_coordinates_follow_shape_and_coordinate_bits(tmp_path):
     # same shape, coordinates that differ (the first only in the sign of
     # zero), then a transposed shape: each slice gets its own row text
     planes_coords = [
@@ -767,19 +773,25 @@ def test_trajectory_writer_matches_value_by_value_formatting(tmp_path, monkeypat
         _expected_csv(["t", "i", "j", "k", "NO", "NO2", "O3"], trajectory_rows(log))
 
 
+def _indexed_blocks(rows, check=None):
+    """(n, 0.5) rows in blocks of 1000, n their index; check(n) runs before block n."""
+    for lo in range(0, rows, 1000):
+        if check:
+            check(lo)
+        yield np.column_stack([np.arange(lo, lo + 1000), np.full(1000, 0.5)])
+
+
 def test_csv_writer_streams_lines_to_the_temp_file(tmp_path):
     # halfway through the rows, earlier lines are already in the temp file:
     # the writer never holds the whole file's text
     path = tmp_path / "big.csv"
     tmp = path.with_name(path.name + ".tmp")
 
-    def rows():
-        for n in range(100_000):
-            if n == 50_000:
-                assert tmp.exists() and tmp.stat().st_size > 0
-            yield (n, 0.5)
+    def check(n):
+        if n == 50_000:
+            assert tmp.exists() and tmp.stat().st_size > 0
 
-    cli.write_csv(path, ["n", "v"], rows())
+    cli.write_csv(path, ["n", "v"], _indexed_blocks(100_000, check), (0,))
     assert not tmp.exists()
     assert path.read_text() == "n,v\n" + "".join(f"{n},0.5\n" for n in range(100_000))
 
@@ -787,15 +799,13 @@ def test_csv_writer_streams_lines_to_the_temp_file(tmp_path):
 def test_failed_csv_write_leaves_neither_file_nor_temp_file(tmp_path):
     path = tmp_path / "big.csv"
 
-    def rows():
-        for n in range(100_000):
-            if n == 50_000:
-                assert path.with_name(path.name + ".tmp").stat().st_size > 0
-                raise RuntimeError("rows failed halfway")
-            yield (n, 0.5)
+    def check(n):
+        if n == 50_000:
+            assert path.with_name(path.name + ".tmp").stat().st_size > 0
+            raise RuntimeError("rows failed halfway")
 
     with pytest.raises(RuntimeError, match="halfway"):
-        cli.write_csv(path, ["n", "v"], rows())
+        cli.write_csv(path, ["n", "v"], _indexed_blocks(100_000, check), (0,))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -66,7 +66,7 @@ def test_a_built_kernel_is_loaded_without_the_compiler(empty_cache, monkeypatch)
     monkeypatch.setattr(_native, "COMPILER", ("false",))
     _native.library.cache_clear()
     assert _small_step(values).values.tobytes() == built.tobytes()
-    assert _native.format_lines(np.array([[0.1, -0.0]]), ["a,"]).tobytes() == b"a,0.1,-0.0\n"
+    assert _native.format_lines(np.array([[7.0, 0.1, -0.0]]), (0,)).tobytes() == b"7,0.1,-0.0\n"
     assert list(empty_cache.iterdir()) == [lib]
 
 
@@ -97,6 +97,18 @@ def test_missing_compiler_fails_a_2d_run_leaving_no_csv(empty_cache, monkeypatch
            "transport": {"u": [5.0, 5.0], "k": [0.5, 0.5]},
            "time": {"dt": 4e-4, "t_end": 0.002}, "initial": {"kind": "sine_product"}}
     code, out = _run_without_compiler(monkeypatch, tmp_path, raw)
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_missing_compiler_fails_an_analytic_run_leaving_no_csv(empty_cache, monkeypatch,
+                                                               tmp_path):
+    # coefficients.csv is the run's first CSV: it fails while being written
+    raw = yaml.safe_load(cli.bundled_config_path("benchmark-2d.yaml").read_text())
+    raw["grid"].update(nx=8, ny=8)
+    raw["series"].update(M=4, N=4)
+    raw["time"] = {"snapshots": [0.0]}
+    code, out = _run_without_compiler(monkeypatch, tmp_path, dict(raw, mode="analytic2d"))
     assert code == 1
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
@@ -145,16 +157,23 @@ def test_kernel_flags_keep_ieee_rounding():
     assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_native._FLAGS)
 
 
-def _lines(rows, heads=None):
+def test_library_source_compiles_without_warnings(tmp_path):
+    flags = (*_native._FLAGS, "-Wall", "-Wextra", "-Werror")
+    done = subprocess.run([*_native.COMPILER, *flags, "-o", str(tmp_path / "lib.so"),
+                           str(_native._SOURCE), "-lm"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def _lines(rows, integer=()):
     values = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
-    heads = [""] * len(values) if heads is None else heads
-    return _native.format_lines(values, heads).tobytes()
+    return _native.format_lines(values, integer).tobytes()
 
 
-def _repr_lines(rows, heads=None):
-    heads = [""] * len(rows) if heads is None else heads
-    return "".join(h + ",".join(map(repr, map(float, row))) + "\n"
-                   for h, row in zip(heads, rows)).encode()
+def _repr_lines(rows, integer=()):
+    """The lines of rows, value by value: str(int(v)) in an integer column, else repr."""
+    return "".join(",".join(str(int(v)) if j in integer else repr(float(v))
+                            for j, v in enumerate(row)) + "\n" for row in rows).encode()
 
 
 def _neighbours(x):
@@ -188,28 +207,48 @@ def test_formatter_writes_repr_of_a_million_random_bit_patterns():
     values = bits.view(np.float64)
     values = values[np.isfinite(values)].reshape(-1, 4)[:250_000]
     assert values.size == 1_000_000
-    heads = [f"{n}," for n in range(len(values))]
-    assert _native.format_lines(values, heads).tobytes() == \
-        _repr_lines(values.tolist(), heads)
+    # the row index leads each line, as an integer column
+    table = np.column_stack([np.arange(len(values)), values])
+    assert _native.format_lines(table, (0,)).tobytes() == _repr_lines(table.tolist(), (0,))
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=4),
-       heads=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=4),
-                      min_size=4, max_size=4))
-def test_formatter_writes_repr_of_any_float(rows, heads):
-    heads = heads[:len(rows)]
+@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=4))
+def test_formatter_writes_repr_of_any_float(rows):
     values = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
-    assert _native.format_lines(values, heads).tobytes() == _repr_lines(rows, heads)
+    assert _native.format_lines(values).tobytes() == _repr_lines(rows)
+
+
+WHOLE = st.integers(-(2**53 - 1), 2**53 - 1).map(float) | st.just(-0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(WHOLE, st.floats(), WHOLE), max_size=4))
+def test_formatter_writes_integer_columns_as_str_of_int(rows):
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    lines = _native.format_lines(values, (0, 2)).tobytes()
+    assert lines == _repr_lines(rows, (0, 2))
+    assert lines == "".join(f"{int(a)},{b!r},{int(c)}\n" for a, b, c in rows).encode()
+
+
+@pytest.mark.parametrize("value", [0.5, -2.5, 2.0**53, -(2.0**53), 1e300, math.nan,
+                                   math.inf, -math.inf])
+def test_formatter_rejects_an_integer_column_value_that_is_no_whole_number(value):
+    values = np.array([[1.0, 2.0], [value, 3.0]])
+    assert _native.format_lines(values, (1,)).tobytes() == b"1.0,2\n" + repr(value).encode() + \
+        b",3\n"
+    with pytest.raises(InputError, match="whole numbers"):
+        _native.format_lines(values, (0,))
 
 
 def test_formatter_takes_strided_rows_and_rejects_other_input():
-    plane = np.arange(12.0).reshape(3, 4) / 7
-    assert _native.format_lines(plane.T, ["x,"] * 4).tobytes() == \
-        _repr_lines(plane.T.tolist(), ["x,"] * 4)
+    # the row index leads each row of the transposed plane, as an integer column
+    plane = np.vstack([np.arange(4.0), np.arange(12.0).reshape(3, 4) / 7])
+    assert not plane.T.flags.c_contiguous
+    assert _native.format_lines(plane.T, (0,)).tobytes() == _repr_lines(plane.T.tolist(), (0,))
     with pytest.raises(InputError):
-        _native.format_lines(plane.astype(np.float32), [""] * 3)
+        _native.format_lines(plane.astype(np.float32))
     with pytest.raises(InputError):
-        _native.format_lines(plane, [""] * 2)
+        _native.format_lines(plane[0])
     with pytest.raises(InputError):
-        _native.format_lines(plane, ["", "a\nb", ""])
+        _native.format_lines(plane[None])
