@@ -1,16 +1,16 @@
 /* The compiled part of adr_lab: the transport update of one block of
- * x-planes of the 3-D upwind step, the 2-D centred step, the sum of the
- * terms of the 2-D series at the grid nodes, and the CSV formatter of
- * float64 rows.
+ * x-planes of the 3-D upwind step, the reaction rates of a block of a
+ * field, the 2-D centred step, the sum of the terms of the 2-D series at
+ * the grid nodes, and the CSV formatter of float64 rows.
  *
- * adr_lab._native builds this file with -ffp-contract=off, so every
- * floating-point operation of a step or of the series is one IEEE
- * operation, rounded as numpy rounds it, and the terms are grouped as in
- * the numpy form they replace.  Any change of grouping changes output
- * bytes.  exp is libm's, the function math.exp calls.  The formatter
- * converts with integer arithmetic only.
+ * adr_lab._native builds this file at -O3 with -ffp-contract=off and no
+ * fast-math, so every floating-point operation of a step, of the rates or
+ * of the series is one IEEE operation, rounded as numpy rounds it, also in
+ * each lane of a loop the compiler vectorizes, and the terms are grouped
+ * as in the numpy form they replace.  Any change of grouping changes
+ * output bytes.  exp is libm's, the function math.exp calls.  The
+ * formatter converts with integer arithmetic only.
  */
-
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -53,6 +53,77 @@ void adr_step3d_block(const double *restrict old, double *restrict new,
                     new[row + z] = v;
                 }
             }
+}
+
+/* Write the reaction rates of a block of a field, geom[0] species of
+ * geom[1] x geom[2] rows of geom[3] cells, from conc to out, which do not
+ * overlap: cell z of row (a, b) of species s lies at
+ * s geom[4] + a geom[5] + b geom[6] + z in conc and at
+ * s geom[7] + a geom[8] + b geom[9] + z in out.  loss and sto are the
+ * C-contiguous (species, reactions) loss exponents and gain - loss, h the
+ * rates h_k(t), and g a buffer of 2 geom[3] doubles.  Row by row, every
+ * species starts at 0.0; then reaction by reaction g is h_k times the
+ * first factor, then times each further one, a power c^l being
+ * c * c * ... * c first, and each species the reaction changes by v takes
+ * acc + g, acc - g or acc + v g.  These are the operations of the numpy
+ * form, so a species that no reaction changes keeps 0.0 and the first
+ * change of a species is 0.0 + g, 0.0 - g or 0.0 + v g.
+ */
+void adr_rates_block(const double *restrict conc, double *restrict out,
+                     const int64_t *geom, int64_t reactions, const int64_t *loss,
+                     const int64_t *sto, const double *h, double *restrict g)
+{
+    const int64_t species = geom[0], n = geom[3];
+    double *restrict f = g + n;
+
+    for (int64_t a = 0; a < geom[1]; a++)
+        for (int64_t b = 0; b < geom[2]; b++) {
+            const double *c = conc + a * geom[5] + b * geom[6];
+            double *o = out + a * geom[8] + b * geom[9];
+            for (int64_t s = 0; s < species; s++)
+                for (int64_t z = 0; z < n; z++)
+                    o[s * geom[7] + z] = 0.0;
+            for (int64_t k = 0; k < reactions; k++) {
+                int first = 1;
+                for (int64_t s = 0; s < species; s++) {
+                    const int64_t l = loss[s * reactions + k];
+                    if (l == 0)
+                        continue;
+                    const double *x = c + s * geom[4];
+                    if (l > 1) {
+                        for (int64_t z = 0; z < n; z++)
+                            f[z] = x[z] * x[z];
+                        for (int64_t e = 2; e < l; e++)
+                            for (int64_t z = 0; z < n; z++)
+                                f[z] = f[z] * x[z];
+                        x = f;
+                    }
+                    if (first)
+                        for (int64_t z = 0; z < n; z++)
+                            g[z] = h[k] * x[z];
+                    else
+                        for (int64_t z = 0; z < n; z++)
+                            g[z] = g[z] * x[z];
+                    first = 0;
+                }
+                if (first)
+                    for (int64_t z = 0; z < n; z++)
+                        g[z] = h[k];
+                for (int64_t s = 0; s < species; s++) {
+                    const int64_t v = sto[s * reactions + k];
+                    double *acc = o + s * geom[7];
+                    if (v == 1)
+                        for (int64_t z = 0; z < n; z++)
+                            acc[z] = acc[z] + g[z];
+                    else if (v == -1)
+                        for (int64_t z = 0; z < n; z++)
+                            acc[z] = acc[z] - g[z];
+                    else if (v != 0)
+                        for (int64_t z = 0; z < n; z++)
+                            acc[z] = acc[z] + (double)v * g[z];
+                }
+            }
+        }
 }
 
 /* Step the interior nodes of all species of a 2-D field from old to new,
@@ -211,6 +282,31 @@ static const char PAIRS[] =
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
+/* Write the decimal digits of m so that they end before end; returns their
+ * start. */
+static char *put_digits(char *end, uint64_t m)
+{
+    for (; m >= 100; m /= 100)
+        end = memcpy(end - 2, PAIRS + 2 * (m % 100), 2);
+    if (m >= 10)
+        return memcpy(end - 2, PAIRS + 2 * m, 2);
+    *--end = (char)('0' + m);
+    return end;
+}
+
+/* Write str(v) at p; returns the end. */
+static char *put_int(char *p, int64_t v)
+{
+    const uint64_t m = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    int n = 1;
+    for (uint64_t rest = m; rest >= 10; rest /= 10)
+        n++;
+    if (v < 0)
+        *p++ = '-';
+    put_digits(p + n, m);
+    return p + n;
+}
+
 /* Write repr(v) at p; returns the end.  At most 24 bytes, as in
  * "-2.2250738585072014e-308". */
 static char *put_double(char *p, double v)
@@ -239,11 +335,8 @@ static char *put_double(char *p, double v)
         m /= 10;
         e++;
     }
-    char buf[20], *digits = buf + sizeof buf;
-    for (; m >= 10; m /= 100)
-        digits = memcpy(digits - 2, PAIRS + 2 * (m % 100), 2);
-    if (m)
-        *--digits = (char)('0' + m);
+    char buf[20];
+    const char *digits = put_digits(buf + sizeof buf, m);
     const int n = (int)(buf + sizeof buf - digits);
     const int decpt = n + e;  /* v = 0.digits * 10^decpt */
     if (decpt <= -4 || decpt > 16) {
@@ -289,7 +382,7 @@ static char *put_double(char *p, double v)
  * which holds rows * (25 cols + 1) bytes; return their byte count, or -1 if
  * a column with integer[j] set holds a value that is not whole or not below
  * 2^53 in magnitude.  A line is the reprs of a row joined by commas, then a
- * newline; an integer column drops the ".0" of repr(v + 0.0), +0.0 for -0.0. */
+ * newline; an integer column holds str(int(v)), so "0" for -0.0. */
 int64_t adr_format_rows(const double *values, int64_t rows, int64_t cols,
                         const uint8_t *integer, char *out)
 {
@@ -297,11 +390,15 @@ int64_t adr_format_rows(const double *values, int64_t rows, int64_t cols,
     for (int64_t i = 0; i < rows; i++) {
         const double *row = values + i * cols;
         for (int64_t j = 0; j < cols; j++) {
-            if (integer[j] && !(fabs(row[j]) < 0x1p53 && row[j] == (double)(int64_t)row[j]))
-                return -1;
+            const double v = row[j];
             if (j)
                 *p++ = ',';
-            p = integer[j] ? put_double(p, row[j] + 0.0) - 2 : put_double(p, row[j]);
+            if (!integer[j])
+                p = put_double(p, v);
+            else if (fabs(v) < 0x1p53 && v == (double)(int64_t)v)
+                p = put_int(p, (int64_t)v);
+            else
+                return -1;
         }
         *p++ = '\n';
     }

@@ -1,10 +1,11 @@
 """The package's compiled library: _native.c, built on first use.
 
 It holds the kernels of the 3-D step (solver3d) and of the 2-D step
-(solver2d), the sum of the 2-D series at the grid nodes
-(analytic2d.sample_series) and the formatter of every CSV line, the rows
-of float64 tables with marked integer columns (cli.write_csv).  So every
-mode needs it.  The library is built by COMPILER the first time one of
+(solver2d), the reaction rates of a block of a field
+(chemistry.reaction_rates_field), the sum of the 2-D series at the grid
+nodes (analytic2d.sample_series) and the formatter of every CSV line, the
+rows of float64 tables with marked integer columns (cli.write_csv).  So
+every mode needs it.  The library is built by COMPILER the first time one of
 them is needed, never at import, into one hash-named file beside the
 package's bytecode; a missing compiler is a ConfigurationError.
 """
@@ -25,10 +26,10 @@ from .errors import ConfigurationError, InputError
 __all__: list[str] = []
 
 # the C compiler that builds _native.c, and its flags: no contraction into
-# fused multiply-adds and no fast-math, so the step kernel rounds each
-# operation as numpy does
+# fused multiply-adds and no fast-math, so the kernels round each operation
+# as numpy does, also in each lane of the loops that -O3 vectorizes
 COMPILER = ("cc",)
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_native.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 
@@ -54,6 +55,9 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.adr_step3d_block.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2 + [ctypes.c_int]
     lib.adr_step3d_block.restype = None
+    lib.adr_rates_block.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + \
+        [ctypes.c_void_p] * 4
+    lib.adr_rates_block.restype = None
     lib.adr_step2d.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_double] * 5
     lib.adr_step2d.restype = None
     lib.adr_sample_series.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + \

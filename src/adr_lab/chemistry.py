@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -136,6 +137,12 @@ class ReactionNetwork:
         """Net molecule change per (species, reaction): gain - loss."""
         return self.gain - self.loss
 
+    @functools.cached_property
+    def _rate_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """loss and stoichiometry as C-contiguous int64 arrays, as the rates kernel reads them."""
+        return tuple(np.ascontiguousarray(a, dtype=np.int64)
+                     for a in (self.loss, self.stoichiometry))
+
     def rate_values(self, t: float) -> np.ndarray:
         """Evaluate all schedules at t, asserting each stays within its bound."""
         h = np.empty(self.reaction_count)
@@ -150,36 +157,6 @@ class ReactionNetwork:
         return h
 
 
-def _add_rates(network: ReactionNetwork, h: np.ndarray, conc: np.ndarray,
-               out: np.ndarray, g: np.ndarray) -> None:
-    """out[j] = 0 + sum over kappa of sto[j, kappa] * g_kappa, added left to right.
-
-    g_kappa = h[kappa] * prod c_nu ** loss[nu, kappa], multiplied left to
-    right (a power c ** l as c * c * ... * c first), is built in g;
-    x + (-1)*g is x - g.  Species that no reaction changes are left alone.
-    """
-    sto = network.stoichiometry
-    started = np.zeros(network.species_count, dtype=bool)
-    for kappa in range(network.reaction_count):
-        factors = [functools.reduce(np.multiply, [conc[nu]] * exp)
-                   for nu, exp in enumerate(network.loss[:, kappa]) if exp]
-        if factors:
-            np.multiply(h[kappa], factors[0], out=g)
-        else:
-            g.fill(h[kappa])
-        for factor in factors[1:]:
-            g *= factor
-        for j in np.flatnonzero(sto[:, kappa]):
-            v, acc = sto[j, kappa], (out[j] if started[j] else 0.0)
-            if v == 1:
-                np.add(acc, g, out=out[j])
-            elif v == -1:
-                np.subtract(acc, g, out=out[j])
-            else:
-                np.add(acc, v * g, out=out[j])
-            started[j] = True
-
-
 def reaction_rates_field(
     network: ReactionNetwork, t: float, conc: np.ndarray,
     out: np.ndarray | None = None, offset: tuple[int, ...] | None = None,
@@ -187,19 +164,39 @@ def reaction_rates_field(
     """The rates R_j(t, c) of every cell of a block of a field, conc shape (s, *block).
 
     offset is the grid index of the block's first cell (the origin when
-    None); sources registered at cells inside the block are applied there.
-    The rates go to out when given, else to a new array, which is returned.
-    Agrees with evaluating R_j cell by cell (tested); whole arrays because
-    the 3-D solver evaluates chemistry on blocks of ~8e4 cells.  An
-    overflow is left in the result: the time loop's finite check reports it
-    with its step, species and cell.
+    None); sources registered at cells inside the block are applied there,
+    after the reactions.  The rates go to out when given, else to a new
+    array, which is returned.  The compiled library (see _native.library,
+    which raises ConfigurationError without a compiler) computes them row
+    by row along the block's last axis, without the GIL, by the operations
+    of the numpy form numpy_reaction_rates_field in tests/oracles.py in
+    their order, so with its bytes: g_kappa = h_kappa(t) times each factor
+    c_nu ** loss in turn, a power multiplied out left to right first; a
+    species that no reaction changes gets 0.0.  An overflow is left in the
+    result: the time loop's finite check reports it with its step, species
+    and cell.  Raises InputError unless conc and out are aligned float64
+    arrays of one shape with 1 to 3 block axes, a unit stride on the last
+    one, that share no memory.
     """
     h = network.rate_values(t)
-    out = np.empty_like(conc) if out is None else out
-    sto = network.stoichiometry
-    out[~sto.any(axis=1)] = 0.0  # species that no reaction changes
+    out = np.empty(conc.shape) if out is None else out
+    views = (conc, out)
     block = conc.shape[1:]
-    _add_rates(network, h, conc, out, np.empty(block))
+    if (out.shape != conc.shape or not 1 <= len(block) <= 3 or np.may_share_memory(conc, out)
+            or not all(a.dtype == np.float64 and a.flags.aligned and a.strides[-1] == 8
+                       for a in views)):
+        raise InputError("conc and out must be aligned float64 arrays of one shape with 1 to 3 "
+                         "block axes, a unit stride on the last, that share no memory; got "
+                         f"shapes {conc.shape}, {out.shape}")
+    # the kernel reads 3 block axes: length-1 axes of stride 0 go before the block's
+    c, o = (a[(slice(None),) + (None,) * (3 - len(block))] for a in views)
+    geom = np.array([*c.shape, *c.strides[:3], *o.strides[:3]], dtype=np.int64)
+    geom[4:] //= 8
+    loss, sto = network._rate_tables
+    scratch = np.empty(2 * block[-1])
+    _native.library().adr_rates_block(conc.ctypes.data, out.ctypes.data, geom.ctypes.data,
+                                      network.reaction_count, loss.ctypes.data,
+                                      sto.ctypes.data, h.ctypes.data, scratch.ctypes.data)
     origin = offset or (0,) * len(block)
     for src in network.sources:
         local = tuple(i - first for i, first in zip(src.cell, origin))

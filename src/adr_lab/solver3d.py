@@ -44,9 +44,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_ALPHA = 0.9
 # x-planes per block, one unit of a step's work.  Each block costs one
 # chemistry call and one kernel call; smaller blocks leave less for the last
-# thread to finish alone at the end of a step.  On a 2-vCPU host neither a
-# full-interior 101^3 step nor the snapshots3d benchmark ran faster with 1,
-# 2, 4 or 16 planes than with 8, at 1 or 2 threads (ROADMAP item 2).
+# thread to finish alone at the end of a step.  On a 2-vCPU Xeon host with
+# the compiled chemistry, a full-interior 101^3 x 3 step at noon took 11.45,
+# 11.04 and 10.62 ms with 4, 8 and 16 planes on one thread and 11.92, 11.40
+# and 10.92 ms on two (medians of 31, quartiles about 1 ms apart).  The
+# snapshots3d benchmark's wall_s medians were 0.288, 0.243 and 0.231 s on
+# one thread and 0.236, 0.239 and 0.250 s on two (3 runs with 4 planes, 8
+# with 8 and 16; quartiles up to 0.1 s apart).  No size won both, so 8 stays.
 BLOCK_PLANES = 8
 
 
@@ -102,8 +106,9 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
     all species at once.  Its chemistry lands in new first; the compiled
     kernel then writes the transport update in its place, with dt*rates
     added last, grouped as in the formula of the module docstring read left
-    to right, so any blocks give the same bytes.  The kernel runs without
-    the GIL, so the threads that share todo step their blocks in parallel.
+    to right, so any blocks give the same bytes.  The compiled rates and
+    kernel run without the GIL, so the threads that share todo step their
+    blocks in parallel.
     """
     ys, zs = box[1:]
     geom = np.array([*old.shape, ys.start, ys.stop, zs.start, zs.stop], dtype=np.int64)

@@ -9,6 +9,7 @@ the package: the program does not run them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -26,7 +27,6 @@ from adr_lab import (
     zero_dirichlet,
 )
 from adr_lab.analytic2d import _weighted_samples, default_quad_points
-from adr_lab.chemistry import reaction_rates_field
 from adr_lab.cli import bundled_config_path, parse_config
 
 
@@ -151,11 +151,11 @@ def numpy_advance_blocks(old: np.ndarray, new: np.ndarray, todo, box: tuple, adv
                          network, t: float, dt: float) -> None:
     """The block step of solver3d._advance_blocks in numpy, a drop-in for it.
 
-    Each block's chemistry lands in new first; the block then takes dt*rates
-    out, writes the transport increment in its place and adds the old state
-    and dt*rates, one numpy pass per operation, grouped as in the formula of
-    solver3d's docstring read left to right.  The compiled kernel must give
-    the same bytes.
+    Each block's chemistry, numpy_reaction_rates_field, lands in new first;
+    the block then takes dt*rates out, writes the transport increment in its
+    place and adds the old state and dt*rates, one numpy pass per operation,
+    grouped as in the formula of solver3d's docstring read left to right.
+    The compiled rates and kernel must give the same bytes.
     """
     ys, zs = box[1:]
     ym, yp = slice(ys.start - 1, ys.stop - 1), slice(ys.start + 1, ys.stop + 1)
@@ -167,8 +167,8 @@ def numpy_advance_blocks(old: np.ndarray, new: np.ndarray, todo, box: tuple, adv
             return
         inner = (slice(None), slice(lo, hi), ys, zs)
         if network is not None:
-            reaction_rates_field(network, t, old[inner], out=new[inner],
-                                 offset=(lo, ys.start, zs.start))
+            numpy_reaction_rates_field(network, t, old[inner], out=new[inner],
+                                       offset=(lo, ys.start, zs.start))
         c, o = old, new[inner]
         centre = c[inner]
         lower = (c[:, lo - 1:hi - 1, ys, zs], c[:, lo:hi, ym, zs], c[:, lo:hi, ys, zm])
@@ -207,6 +207,60 @@ def bundled_ozone(
         sources = (PointSource(net.species.index("NO"), cell, no_emission),)
     return dataclasses.replace(net, rates=(net.rates[0], ConstantRate(k2)),
                                sources=sources)
+
+
+def _add_rates(network: ReactionNetwork, h: np.ndarray, conc: np.ndarray,
+               out: np.ndarray, g: np.ndarray) -> None:
+    """out[j] = 0 + sum over kappa of sto[j, kappa] * g_kappa, added left to right.
+
+    g_kappa = h[kappa] * prod c_nu ** loss[nu, kappa], multiplied left to
+    right (a power c ** l as c * c * ... * c first), is built in g;
+    x + (-1)*g is x - g.  Species that no reaction changes are left alone.
+    """
+    sto = network.stoichiometry
+    started = np.zeros(network.species_count, dtype=bool)
+    for kappa in range(network.reaction_count):
+        factors = [functools.reduce(np.multiply, [conc[nu]] * exp)
+                   for nu, exp in enumerate(network.loss[:, kappa]) if exp]
+        if factors:
+            np.multiply(h[kappa], factors[0], out=g)
+        else:
+            g.fill(h[kappa])
+        for factor in factors[1:]:
+            g *= factor
+        for j in np.flatnonzero(sto[:, kappa]):
+            v, acc = sto[j, kappa], (out[j] if started[j] else 0.0)
+            if v == 1:
+                np.add(acc, g, out=out[j])
+            elif v == -1:
+                np.subtract(acc, g, out=out[j])
+            else:
+                np.add(acc, v * g, out=out[j])
+            started[j] = True
+
+
+def numpy_reaction_rates_field(
+    network: ReactionNetwork, t: float, conc: np.ndarray,
+    out: np.ndarray | None = None, offset: tuple[int, ...] | None = None,
+) -> np.ndarray:
+    """chemistry.reaction_rates_field in numpy, one whole-block operation per term.
+
+    Species that no reaction changes get 0.0; the others sum their terms
+    in _add_rates' order, then the sources inside the block are added, one
+    at a time.  The compiled rates must give the same bytes.
+    """
+    h = network.rate_values(t)
+    out = np.empty_like(conc) if out is None else out
+    sto = network.stoichiometry
+    out[~sto.any(axis=1)] = 0.0  # species that no reaction changes
+    block = conc.shape[1:]
+    _add_rates(network, h, conc, out, np.empty(block))
+    origin = offset or (0,) * len(block)
+    for src in network.sources:
+        local = tuple(i - first for i, first in zip(src.cell, origin))
+        if all(0 <= i < n for i, n in zip(local, block)):
+            out[(src.species,) + local] += src.rate
+    return out
 
 
 def reaction_rates(

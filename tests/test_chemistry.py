@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
     ConstantRate,
@@ -14,7 +14,8 @@ from adr_lab import (
 )
 from adr_lab.chemistry import reaction_rates_field
 from adr_lab.cli import bundled_config_path, parse_config
-from oracles import bundled_ozone, classify_H, compute_dbar, reaction_rates
+from oracles import (bundled_ozone, classify_H, compute_dbar, numpy_reaction_rates_field,
+                     reaction_rates)
 
 DAY = 86400.0
 NOON = 12 * 3600.0
@@ -191,6 +192,88 @@ def test_powers_are_products_multiplied_left_to_right(order):
     for n, cell in enumerate(np.ndindex(conc.shape[1:])):
         pointwise = reaction_rates(net, 0.0, conc[(slice(None), *cell)])
         assert pointwise.tobytes() == np.array([-order * expected[n], expected[n]]).tobytes()
+
+
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+# zeros, subnormals, values whose products overflow, infinities and NaN
+CONCENTRATIONS = st.sampled_from([0.0, -0.0, TINY, 1e-310, 1e-300, 1.0, 3.0, 1e154, 1e300,
+                                  HUGE, math.inf, -math.inf, math.nan]) | st.floats()
+RATE_VALUES = st.sampled_from([0.0, TINY, 1e-300, 1.0, 2.5, 1e200, HUGE]) | st.floats(0.0, HUGE)
+# the bits a view holds before the rates are written to it: a tiny, finite value
+STALE = 0x0123456789ABCDEF
+
+
+def _block_view(parent: np.ndarray, block, steps) -> np.ndarray:
+    """The (s, *block) view of parent that starts one cell in and takes every steps-th cell."""
+    return parent[(slice(1, None),) + tuple(slice(1, 1 + n * k, k) for n, k in zip(block, steps))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_rates_equal_the_numpy_oracle_bitwise(data):
+    s, r = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    # loss and gain of 0-3: stoichiometry from -3 to 3, inert species, reactions without
+    # reactants
+    table = st.lists(st.lists(st.integers(0, 3), min_size=r, max_size=r), min_size=s,
+                     max_size=s).map(lambda rows: np.array(rows, dtype=int).reshape(s, r))
+    loss, gain = data.draw(table), data.draw(table)
+    rates = [data.draw(RATE_VALUES.map(ConstantRate) | st.just(K1)) for _ in range(r)]
+    block = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    offset = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(block),
+                                      max_size=len(block))))
+    cells = st.tuples(*(st.integers(o - 1, o + n) for o, n in zip(offset, block)))
+    sources = data.draw(st.lists(st.builds(PointSource, st.integers(0, s - 1), cells,
+                                           st.floats(0.0, 10.0) | st.sampled_from([TINY, HUGE])),
+                                 max_size=3))
+    net = ReactionNetwork(species=tuple("ABCD"[:s]), loss=loss, gain=gain, rates=rates,
+                          sources=sources)
+    t = data.draw(st.floats(0.0, 2 * DAY))
+    # blocks are strided views of larger buffers, conc and out each in their own layout
+    steps = [tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(block) - 1,
+                                      max_size=len(block) - 1))) + (1,) for _ in range(2)]
+    conc = _block_view(np.zeros((s + 1, *(n * k + 2 for n, k in zip(block, steps[0])))),
+                       block, steps[0])
+    pool = data.draw(st.lists(CONCENTRATIONS, min_size=1, max_size=12))
+    conc[...] = np.resize(np.array(pool), conc.shape)
+    outs = []
+    for rates_field in (reaction_rates_field, numpy_reaction_rates_field):
+        parent = np.full((s + 1, *(n * k + 2 for n, k in zip(block, steps[1]))), STALE,
+                         dtype=np.uint64).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            returned = rates_field(net, t, conc, out=_block_view(parent, block, steps[1]),
+                                   offset=offset)
+        assert np.shares_memory(returned, parent)
+        outs.append(parent)
+    # Every value that is not NaN has the oracle's bits.  A NaN's sign and payload are not
+    # pinned: when both operands of an add are NaN, x86 returns one of them, and neither
+    # numpy's loops nor the compiler fix the operand order of an add; repr writes either
+    # as nan, and the time loop stops at any NaN.
+    nan = np.isnan(outs[0])
+    assert (np.isnan(outs[1]) == nan).all()
+    assert (outs[0].view(np.uint64)[~nan] == outs[1].view(np.uint64)[~nan]).all()
+
+
+def test_compiled_rates_keep_overflow_subnormals_and_nan():
+    # 2A -> B at rate 1e-10: (1e300 * 1e300) overflows, (1e-150 * 1e-150) * 1e-10 is subnormal
+    net = ReactionNetwork(species=("A", "B"), loss=np.array([[2], [0]]),
+                          gain=np.array([[0], [1]]), rates=(ConstantRate(1e-10),), sources=())
+    conc = np.array([[1e300, 1e-150, 0.0, math.nan], [1.0] * 4])
+    g = [math.inf, 1e-10 * (1e-150 * 1e-150), 0.0, math.nan]
+    rates = reaction_rates_field(net, 0.0, conc)
+    np.testing.assert_array_equal(rates, [[0.0 + -2.0 * x for x in g], g])
+    assert 0.0 < rates[1, 1] < 2.2250738585072014e-308
+    assert not np.signbit(rates[:, 2]).any()
+
+
+def test_compiled_rates_reject_a_layout_they_cannot_read():
+    net = bundled_ozone(k2=1e-3)
+    conc = np.ones((3, 4, 5, 6))
+    bad = [(conc[..., ::2], None), (conc.astype(np.float32), None), (conc[:, 0, 0, 0], None),
+           (np.ones((3, 2, 2, 2, 2)), None), (conc, conc), (conc, np.empty((3, 4, 5, 5))),
+           (conc[:, :3], conc[:, 1:])]
+    for values, out in bad:
+        with pytest.raises(InputError, match="aligned float64 arrays of one shape"):
+            reaction_rates_field(net, NOON, values, out=out)
 
 
 def test_classify_H():

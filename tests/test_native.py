@@ -153,8 +153,12 @@ def test_step_kernels_reject_an_out_they_cannot_write(step, shape, bad):
 
 
 def test_kernel_flags_keep_ieee_rounding():
+    # the vectorized loops round each lane as the scalar code does only without contraction
+    # and without the value-changing optimizations that fast-math bundles
     assert "-ffp-contract=off" in _native._FLAGS
-    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(_native._FLAGS)
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-funsafe-math-optimizations",
+                "-fassociative-math", "-ffinite-math-only", "-fno-signed-zeros",
+                "-freciprocal-math", "-ffp-contract=fast", "-ffp-contract=on"} & set(_native._FLAGS)
 
 
 def test_library_source_compiles_without_warnings(tmp_path):
@@ -219,7 +223,8 @@ def test_formatter_writes_repr_of_any_float(rows):
     assert _native.format_lines(values).tobytes() == _repr_lines(rows)
 
 
-WHOLE = st.integers(-(2**53 - 1), 2**53 - 1).map(float) | st.just(-0.0)
+WHOLE = st.integers(-(2**53 - 1), 2**53 - 1).map(float) | st.sampled_from(
+    [-0.0, 2.0**53 - 1, -(2.0**53 - 1), 10.0**15, -(10.0**15), 9.0, 10.0, 99.0, 100.0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,6 +234,15 @@ def test_formatter_writes_integer_columns_as_str_of_int(rows):
     lines = _native.format_lines(values, (0, 2)).tobytes()
     assert lines == _repr_lines(rows, (0, 2))
     assert lines == "".join(f"{int(a)},{b!r},{int(c)}\n" for a, b, c in rows).encode()
+
+
+def test_formatter_writes_every_digit_count_of_an_integer_column():
+    # the integers 9...9 and 10...0 of each length up to 2**53 - 1, both signs, and -0.0
+    whole = [float(v) for n in range(16) for v in (10**n - 1, 10**n)] + [2.0**53 - 1]
+    rows = [[v, -v] for v in whole] + [[-0.0, 0.0]]
+    assert _lines(rows, (0, 1)) == _repr_lines(rows, (0, 1))
+    assert _lines([[2.0**53 - 1, -(2.0**53 - 1), -0.0]], (0, 1, 2)) == \
+        b"9007199254740991,-9007199254740991,0\n"
 
 
 @pytest.mark.parametrize("value", [0.5, -2.5, 2.0**53, -(2.0**53), 1e300, math.nan,
