@@ -3,9 +3,10 @@
 It holds the kernels of the 3-D step (solver3d) and of the 2-D step
 (solver2d), the reaction rates of a block of a field
 (chemistry.reaction_rates_field), the sum of the 2-D series at the grid
-nodes (analytic2d.sample_series) and the formatter of every CSV line, the
-rows of float64 tables with marked integer columns (cli.write_csv).  So
-every mode needs it.  The library is built by COMPILER the first time one of
+nodes (analytic2d.sample_series), the sum of squares of a field under its
+box (diagnostics.l2_norm) and the formatter of every CSV line, the rows of
+float64 tables with marked integer columns (cli.write_csv).  So every mode
+needs it.  The library is built by COMPILER the first time one of
 them is needed, never at import, into one hash-named file beside the
 package's bytecode; a missing compiler is a ConfigurationError.
 """
@@ -63,6 +64,8 @@ def library() -> ctypes.CDLL:
     lib.adr_sample_series.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + \
         [ctypes.c_double, ctypes.c_void_p]
     lib.adr_sample_series.restype = None
+    lib.adr_sum_squares.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_void_p] * 3
+    lib.adr_sum_squares.restype = ctypes.c_double
     lib.adr_format_rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
     lib.adr_format_rows.restype = ctypes.c_int64
     low, high = (ctypes.c_int32 * 2).in_dll(lib, "adr_pow10_range")
@@ -125,6 +128,28 @@ def check_step_buffers(old: np.ndarray, new: np.ndarray) -> None:
     if new.shape != old.shape or not all(layout) or np.shares_memory(old, new):
         raise InputError("field and out values must be aligned, C-contiguous float64 arrays of "
                          f"one shape that share no memory, got shapes {old.shape}, {new.shape}")
+
+
+def sum_of_squares(values: np.ndarray, box=None) -> float:
+    """float((values**2).sum()) of a float64 array, bit for bit, at the cost of box.
+
+    box, per-axis slices of every axis of values (None: the whole array),
+    says that every value outside it is +0.0; the sum then reads only the
+    parts of numpy's pairwise order that meet the box.  values is copied to
+    C order and alignment if it is not in them, so for such an array the
+    last bit may differ from numpy's sum.  Raises InputError unless box has
+    one slice of step 1 per axis.
+    """
+    values = np.require(values, np.float64, ["C", "A"])
+    box = (slice(None),) * values.ndim if box is None else tuple(box)
+    # rows: the axis sizes, then the box's starts, stops and steps
+    table = np.array([(n, *s.indices(n)) for s, n in zip(box, values.shape)],
+                     dtype=np.int64).reshape(-1, 4).T.copy()
+    if len(box) != values.ndim or (table[3] != 1).any():
+        raise InputError(f"expected one slice of step 1 per axis of values of shape "
+                         f"{values.shape}, got {box}")
+    shape, lo, hi = (row.ctypes.data for row in table[:3])
+    return library().adr_sum_squares(values.ctypes.data, values.ndim, shape, lo, hi)
 
 
 def format_lines(values: np.ndarray, integer=()) -> np.ndarray:

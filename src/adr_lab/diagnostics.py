@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _native
 from .analytic2d import SeriesSolution, sample_series
 from .errors import ConfigurationError
 from .grid import Field, TransportParams, sample_initial_2d
@@ -28,23 +29,22 @@ __all__ = [
 ]
 
 
-def l2_norm(field: Field, box=None, squares: np.ndarray | None = None) -> float:
+def l2_norm(field: Field, box=None) -> float:
     """Cell-volume-weighted discrete L2 norm, summed over species.
 
     sqrt( sum_j sum_cells c_j(cell)^2 * cell_volume ).  Boundary cells are
     included with full weight; they are zero under Dirichlet anyway.
 
-    With box, per-axis slices of the grid outside which every value is
-    +0.0, only the box is squared, into squares: an array of the field's
-    shape holding +0.0 outside box.  squares is then values**2 element for
-    element, so summing it whole gives the bits of the whole-field sum.
+    The sum is float((values**2).sum()), bit for bit, summed in the
+    compiled library without a squares temporary.  With box, per-axis
+    slices of the grid outside which every value is +0.0, it reads only
+    the parts of numpy's pairwise order that meet the box, so it costs in
+    proportion to the box.  Values not in C order are copied to it first,
+    and their last bit may then differ from (values**2).sum(); no package
+    caller passes such values.
     """
-    if box is None:
-        squares = field.values**2
-    else:
-        inside = (slice(None), *box)
-        np.square(field.values[inside], out=squares[inside])
-    return math.sqrt(float(squares.sum()) * field.grid.cell_volume)
+    box = None if box is None else (slice(None), *box)
+    return math.sqrt(_native.sum_of_squares(field.values, box) * field.grid.cell_volume)
 
 
 @dataclass(frozen=True)

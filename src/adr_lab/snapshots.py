@@ -81,10 +81,9 @@ class SnapshotSeries:
     dict of species, cell and the field's min; None if there is none).  A
     2-D series keeps a copy of each field in fields; a 3-D one sets plane,
     the index of the 2-D slice it reports, keeps a copy of the values there
-    in slices, and sets trajectories, the log of its tracked cells.
-    squares holds the squares of the last boxed capture, +0.0 outside every
-    box so far; np.zeros allocates it at the first, so its pages that no box
-    reaches are never touched.
+    in slices, and sets trajectories, the log of its tracked cells.  Every
+    reduction of a capture, the L2 norm's sum of squares included, reads
+    only its box; the series keeps no buffer of squares.
     """
 
     requested_times: list[float]
@@ -100,22 +99,21 @@ class SnapshotSeries:
     chemistry_rate_scale: float = 0.0  # 3-D runs with chemistry only
     plane: tuple | None = None
     trajectories: TrajectoryLog | None = None
-    squares: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def append(self, step: int, time: float, snapshot: Field, box=None) -> None:
         """Record snapshot, which the caller may change afterwards.
 
-        box, per-axis slices of the interior, says that every value outside
-        it is +0.0; the maxima and minima then reduce over box and fold in
-        +0.0, which gives the numbers of a reduction over the whole field,
-        and l2_norm squares only the box.  So boxes must never shrink.
+        box, per-axis slices of the grid, says that every value outside it
+        is +0.0; the maxima, minima and l2_norm then read only the box, and
+        the maxima and minima fold in +0.0 when the box leaves any cell
+        outside it, which gives the numbers of a reduction over the whole
+        field.  Each capture stands alone: its box need not contain the
+        last one's.
         """
         from .diagnostics import l2_norm  # looked up per call: perfbench patches it
         v = snapshot.values
-        if box is not None and self.squares is None:
-            self.squares = np.zeros(v.shape)
         inside = v if box is None else v[(slice(None), *box)]
-        axes, fold = tuple(range(1, v.ndim)), {} if box is None else {"initial": 0.0}
+        axes, fold = tuple(range(1, v.ndim)), {"initial": 0.0} if inside.size < v.size else {}
         hi, lo = inside.max(axis=axes, **fold), inside.min(axis=axes, **fold)
         tol = 1e-12 * np.maximum(np.abs(hi), np.abs(lo)).max()
         vmin = lo.min()
@@ -128,7 +126,7 @@ class SnapshotSeries:
         self.maxima.append(hi)
         self.minima.append(lo)
         self.negatives.append(found)
-        self.l2_norms.append(l2_norm(snapshot, box, self.squares))
+        self.l2_norms.append(l2_norm(snapshot, box))
         if self.plane is None:
             self.fields.append(snapshot.copy())
         else:
@@ -142,7 +140,7 @@ def _first(mask: np.ndarray, box) -> tuple[int, tuple[int, ...]]:
 
 
 def run_steps(initial: Field, advance, dt: float, t_end: float,
-              series: SnapshotSeries, sample=None) -> SnapshotSeries:
+              series: SnapshotSeries, sample=None, box=None) -> SnapshotSeries:
     """Step from t=0 to t_end, capturing the series' requested snapshots.
 
     The loop owns two buffers, a copy of initial and one zero field, and
@@ -152,20 +150,22 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     reads, is zeroed once when it first becomes the spare.  advance may
     return per-axis slices of the grid, a box outside which it wrote
     nothing; it may do so only while every cell outside the box is zero in
-    both buffers.  So a box must never shrink: the spare starts as zeros
-    and then holds the state from two steps back, zero outside every
-    earlier box.  Each requested snapshot goes to series.append as the live
-    field, with the box of the step that wrote it (None at step 0), and
-    sample(step, t, values), when given, sees the state at every step from
-    0 to the last.  A non-finite value written by a step
-    (inside its box, or anywhere when advance returns None) raises
-    DivergenceError naming the step, species and cell.
+    both buffers.  So the boxes advance returns must never shrink, because
+    of the spare: it starts as zeros and then holds the state from two
+    steps back, zero outside every earlier box.  Each requested snapshot
+    goes to series.append as the live field, with the box of the step that
+    wrote it; at step 0 that is box, per-axis slices of the grid outside
+    which every value of initial is +0.0 (None: the whole grid), which
+    bounds only the step-0 capture.  sample(step, t, values), when given,
+    sees the state at every step from 0 to the last.  A non-finite value
+    written by a step (inside its box, or anywhere when advance returns
+    None) raises DivergenceError naming the step, species and cell.
     """
     pending = snapshot_steps(series.requested_times, dt, t_end)
     n_steps = step_count(t_end, dt)
     field = initial.copy()
     spare = Field.zeros(initial.grid, initial.species_count)
-    step, box = 0, None
+    step = 0
     while True:
         t = step * dt
         while pending and pending[0] <= step:

@@ -299,7 +299,8 @@ def run3d(
     workers = step_threads(grid.shape[0], threads)
     # Each step reaches one cell along each axis, so a cell outside the box
     # grown by one per step has an all-zero neighbourhood and steps to +0.0:
-    # it is left as the buffer holds it, which is zero (see run_steps).
+    # it is left as the buffer holds it, which is zero (see run_steps).  The
+    # initial box also bounds the reductions of the step-0 capture.
     box = _initial_box(initial, network)
 
     def advance(old: Field, new: Field, t: float) -> tuple[slice, ...]:
@@ -316,7 +317,7 @@ def run3d(
         pool = ThreadPoolExecutor(workers - 1)
     try:
         return run_steps(initial, advance, dt, t_end, series,
-                         sample=sample if log.cells else None)
+                         sample=sample if log.cells else None, box=box)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adr_lab import (
     ConfigurationError,
     ConstantRate,
     Field,
     Grid,
+    InputError,
     ReactionNetwork,
     StabilityError,
     TrajectoryLog,
@@ -23,10 +25,11 @@ from adr_lab import (
     sample_initial_2d,
     sample_series,
 )
+from adr_lab import _native
 from adr_lab.snapshots import SnapshotSeries
-from adr_lab.solver3d import _grow
-from oracles import (boundedness_check, compute_dbar, max_pairwise_distance, trajectory_points,
-                     trajectory_rows)
+from adr_lab.solver3d import _grow, run3d
+from oracles import (boundedness_check, compute_dbar, max_pairwise_distance, numpy_l2_norm,
+                     numpy_sum_of_squares, trajectory_points, trajectory_rows)
 
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
@@ -86,14 +89,42 @@ def test_boxed_l2_norm_equals_whole_field_norm_bitwise(monkeypatch):
     fields = _boxed_captures(grid, boxes, np.random.default_rng(5))
     for n, (values, box) in enumerate(zip(fields, [None, *boxes])):
         series.append(n, float(n), Field(grid, values), box)
-        want = l2_norm(Field(grid, values.copy()))
+        want = numpy_l2_norm(Field(grid, values.copy()))
         assert series.l2_norms[n].hex() == want.hex(), n
-    assert series.squares.tobytes() == (fields[-1] ** 2).tobytes()
+
+
+# a zero-order reaction (nothing -> A) makes A everywhere, so run3d's box is the whole grid
+ZERO_ORDER = ReactionNetwork(
+    species=("A", "B"), loss=np.array([[0, 1], [0, 0]]), gain=np.array([[1, 0], [0, 1]]),
+    rates=(ConstantRate(0.5), ConstantRate(0.25)),
+)
+
+
+def _traced_step0_capture(init, network):
+    """The series of a run3d that captures only step 0, the box run3d gave that
+    capture and the peak tracemalloc saw in its append."""
+    append, seen = SnapshotSeries.append, []
+
+    def traced(series, step, time, snapshot, box=None):
+        tracemalloc.start()
+        try:
+            append(series, step, time, snapshot, box)
+            seen.append((box, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+
+    params = TransportParams(u=(1e-3, 1e-3, 1e-3), k=(1e-5, 1e-5, 1e-5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SnapshotSeries, "append", traced)
+        series = run3d(init, params, network, 1.0, 0.0, [0.0])
+    assert series.steps == [0]
+    return series, *seen[0]
 
 
 def test_boxed_capture_allocates_no_full_field_temporary():
-    # the squares buffer is allocated once, on the first boxed capture; a
-    # later capture must not allocate anything near the field's size
+    # no capture of a boxed run may allocate anything near the field's size:
+    # neither a capture after a step nor the step-0 one, which reduces the
+    # box of the initial support
     grid = Grid((41, 41, 41), (1.0, 1.0, 1.0))
     boxes = _growing_boxes(grid.shape, (slice(18, 23),) * 3, 3)
     series = SnapshotSeries(requested_times=[0.0], plane=(slice(None), slice(None), 20))
@@ -107,6 +138,100 @@ def test_boxed_capture_allocates_no_full_field_temporary():
     finally:
         tracemalloc.stop()
     assert peak < fields[2].nbytes / 4, (peak, fields[2].nbytes)
+
+    rng = np.random.default_rng(9)
+    values = np.zeros((3, *grid.shape))
+    values[(slice(None), *boxes[0])] = rng.uniform(0.5, 1.0, (3, 5, 5, 5))
+    series, box, peak = _traced_step0_capture(Field(grid, values), None)
+    assert box == boxes[0]
+    assert peak < values.nbytes / 4, (peak, values.nbytes)
+    assert series.l2_norms[0].hex() == numpy_l2_norm(Field(grid, values)).hex()
+
+    # the box is the whole grid: no cell lies outside it, so no +0.0 may be
+    # folded into the reductions (it would be every minimum here)
+    values = rng.uniform(0.5, 1.0, (2, *grid.shape))
+    series, box, peak = _traced_step0_capture(Field(grid, values), ZERO_ORDER)
+    assert box == (slice(0, 41),) * 3
+    assert peak < values.nbytes / 4, (peak, values.nbytes)
+    assert series.maxima[0].tobytes() == values.max(axis=(1, 2, 3)).tobytes()
+    assert series.minima[0].tobytes() == values.min(axis=(1, 2, 3)).tobytes()
+    assert series.l2_norms[0].hex() == numpy_l2_norm(Field(grid, values)).hex()
+
+
+def test_sum_of_squares_matches_numpy_at_every_size_bitwise():
+    # 0 to 300 values put every remainder mod 8 on both sides of numpy's
+    # 8- and 128-value cut-offs and of its first splits
+    rng = np.random.default_rng(11)
+    first_plus_rest = 0
+    for n in range(301):
+        v = rng.uniform(-1.0, 2.0, n)
+        want = numpy_sum_of_squares(v)
+        assert _native.sum_of_squares(v).hex() == want.hex(), n
+        if n > 1:
+            first_plus_rest += (v[0] * v[0] + numpy_sum_of_squares(v[1:])).hex() != want.hex()
+    # the values tell another summation order apart
+    assert first_plus_rest > 0
+    for box in [(slice(None),), (slice(0, 2, 2), slice(None))]:
+        with pytest.raises(InputError, match="one slice of step 1 per axis"):
+            _native.sum_of_squares(np.ones((2, 3)), box)
+
+
+SPECIALS = [-0.0, 5e-324, 2.5e-310, 1e200, -1e160, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _boxes(draw, shape):
+    """Per-axis slices of shape: empty, on a face, one cell, the whole grid or any."""
+    kind = draw(st.sampled_from(["empty", "face", "cell", "whole", "any"]))
+    box = []
+    for n in shape:
+        lo = draw(st.integers(0, n - 1))
+        box.append({"cell": slice(lo, lo + 1), "whole": slice(0, n)}.get(
+            kind, slice(lo, draw(st.integers(lo, n)))))
+    if kind in ("empty", "face"):
+        axis = draw(st.integers(0, len(shape) - 1))
+        n, lo = shape[axis], box[axis].start
+        box[axis] = slice(lo, lo) if kind == "empty" else draw(
+            st.sampled_from([slice(0, 1), slice(n - 1, n)]))
+    return tuple(box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_boxed_l2_norm_matches_numpy_bitwise(data):
+    shape = data.draw(st.sampled_from([2, 3]).flatmap(
+        lambda ndim: st.tuples(*[st.integers(3, 11)] * ndim)))
+    species = data.draw(st.integers(1, 3))
+    box = data.draw(_boxes(shape))
+    grid = Grid(shape, tuple(float(n) for n in shape))
+    values = np.zeros((species, *shape))
+    inside = (slice(None), *box)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values[inside] = rng.uniform(-1.0, 2.0, values[inside].shape)
+    if values[inside].size:
+        cells = st.tuples(st.integers(0, species - 1),
+                          *[st.integers(s.start, s.stop - 1) for s in box])
+        for _ in range(data.draw(st.integers(0, 3))):
+            values[data.draw(cells)] = data.draw(st.sampled_from(SPECIALS))
+    field = Field(grid, values)
+    want = numpy_sum_of_squares(values)
+    assert _native.sum_of_squares(values, inside).hex() == want.hex()
+    assert _native.sum_of_squares(values).hex() == want.hex()
+    assert l2_norm(field, box).hex() == numpy_l2_norm(field).hex()
+    assert l2_norm(field).hex() == numpy_l2_norm(field).hex()
+    # values not in C order are summed as their C-ordered copy
+    assert l2_norm(Field(grid, np.asfortranarray(values))).hex() == numpy_l2_norm(field).hex()
+
+
+def test_l2_norm_of_a_full_size_field_matches_numpy_bitwise():
+    grid = Grid((101, 101, 101), (1.0, 1.0, 1.0))
+    values = np.random.default_rng(12).uniform(0.0, 1.0, (3, *grid.shape))
+    assert l2_norm(Field(grid, values)).hex() == numpy_l2_norm(Field(grid, values)).hex()
+    box = (slice(30, 71), slice(45, 60), slice(0, 101))
+    outside = np.ones(values.shape, dtype=bool)
+    outside[(slice(None), *box)] = False
+    values[outside] = 0.0
+    assert l2_norm(Field(grid, values), box).hex() == numpy_l2_norm(Field(grid, values)).hex()
 
 
 def test_error_report_zero_for_exact_samples():
