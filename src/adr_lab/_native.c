@@ -152,20 +152,15 @@ void adr_step2d(const double *restrict old, double *restrict new,
         }
 }
 
-/* Two doubles, added and multiplied lane by lane, each lane one IEEE
- * operation. */
-typedef double pair __attribute__((vector_size(16)));
-
 /* Sum terms terms of the 2-D sine series at the nodes of an nx-by-ny grid
  * into acc, C-contiguous (nx, ny), starting from 0.0.  Term q adds
  * (a[q] exp(lam[q] t)) (sx[m[q]-1][i] sy[n[q]-1][j]) to node (i, j); sx
  * is (max m, nx) and sy (max n, ny), C-contiguous.  Each node sees the
  * operations, in order, of acc += coef * np.outer(sin_x[m], sin_y[n]) over
- * the terms.  A row goes two nodes at a time, each lane rounded as the
- * lone operation is; on x86-64 that is one packed SSE2 operation for two,
- * which about halved the sum's time on the bundled benchmark-2d.yaml.  A
- * term of coef +-0.0 is skipped: times the finite sines it would add +-0.0
- * to sums that start at +0.0 and so are never -0.0.
+ * the terms.  The row loop is a plain one, which -O3 vectorizes, each lane
+ * rounded as the lone operation is.  A term of coef +-0.0 is skipped:
+ * times the finite sines it would add +-0.0 to sums that start at +0.0
+ * and so are never -0.0.
  */
 void adr_sample_series(const double *restrict sx, const double *restrict sy,
                        const int64_t *m, const int64_t *n, const double *a,
@@ -181,17 +176,8 @@ void adr_sample_series(const double *restrict sx, const double *restrict sy,
         const double *x = sx + (m[q] - 1) * nx, *y = sy + (n[q] - 1) * ny;
         for (int64_t i = 0; i < nx; i++) {
             const double xi = x[i];
-            const pair c2 = {coef, coef}, x2 = {xi, xi};
             double *row = acc + i * ny;
-            int64_t j = 0;
-            for (; j + 2 <= ny; j += 2) {
-                pair r, yj;
-                memcpy(&r, row + j, sizeof r);
-                memcpy(&yj, y + j, sizeof yj);
-                r = r + c2 * (x2 * yj);
-                memcpy(row + j, &r, sizeof r);
-            }
-            if (j < ny)
+            for (int64_t j = 0; j < ny; j++)
                 row[j] = row[j] + coef * (xi * y[j]);
         }
     }

@@ -40,7 +40,7 @@ K1_NIGHT = 1e-40
 
 @dataclass(frozen=True)
 class ConstantRate:
-    """Time-independent rate schedule h(t) = value; bound equals the value."""
+    """Time-independent rate schedule h(t) = value; bound is value, or 1.0 when value is 0."""
 
     value: float
 

@@ -135,34 +135,46 @@ class SnapshotSeries:
 
 def _first(mask: np.ndarray, box) -> tuple[int, tuple[int, ...]]:
     """Species and grid cell of mask's first true entry; mask covers box (None: the grid)."""
-    where = np.argwhere(mask)[0] + [0, *(s.start for s in box or ())]
+    first = np.unravel_index(int(mask.argmax()), mask.shape)  # no index row per true entry
+    where = np.array(first) + [0, *(s.start for s in box or ())]
     return int(where[0]), tuple(int(i) for i in where[1:])
 
 
+def _widen(box: tuple[slice, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """box widened by one cell per side and clipped to the interior of shape."""
+    return tuple(slice(max(s.start - 1, 1), min(s.stop + 1, n - 1)) for s, n in zip(box, shape))
+
+
 def run_steps(initial: Field, advance, dt: float, t_end: float,
-              series: SnapshotSeries, sample=None, box=None) -> SnapshotSeries:
+              series: SnapshotSeries, box=None) -> SnapshotSeries:
     """Step from t=0 to t_end, capturing the series' requested snapshots.
 
     The loop owns two buffers, a copy of initial and one zero field, and
-    swaps them after each step: advance(old, new, t) fills the interior of
-    new with the state one step after time t.  Boundary nodes are never
-    written; the copy of initial, whose boundary the first step still
-    reads, is zeroed once when it first becomes the spare.  advance may
-    return per-axis slices of the grid, a box outside which it wrote
-    nothing; it may do so only while every cell outside the box is zero in
-    both buffers.  So the boxes advance returns must never shrink, because
-    of the spare: it starts as zeros and then holds the state from two
-    steps back, zero outside every earlier box.  Each requested snapshot
-    goes to series.append as the live field, with the box of the step that
-    wrote it; at step 0 that is box, per-axis slices of the grid outside
-    which every value of initial is +0.0 (None: the whole grid), which
-    bounds only the step-0 capture.  sample(step, t, values), when given,
-    sees the state at every step from 0 to the last.  A non-finite value
-    written by a step (inside its box, or anywhere when advance returns
-    None) raises DivergenceError naming the step, species and cell.
+    swaps them after each step: advance(old, new, t, box) writes the state
+    one step after time t into the cells of new's interior that box covers
+    (None: the whole interior) and returns nothing.  Boundary nodes are
+    never written; the copy of initial, whose boundary the first step
+    still reads, is zeroed once when it first becomes the spare.  box,
+    per-axis slices of the grid outside which every value of initial is
+    +0.0 (None: the whole grid), is the active box.  Before each step the
+    loop widens it by one cell per side, clipped to the interior, so from
+    the first step on it never shrinks.  A nearest-neighbour stencil with
+    pointwise chemistry reaches one cell per side and step, so a cell
+    outside the widened box has an all-zero neighbourhood and steps to
+    +0.0, which new already holds there: new starts as zeros and then
+    holds the state from two steps back, zero outside that step's box.
+    Each requested snapshot goes to series.append as the live field, with
+    the box of the step that wrote it (box itself at step 0).  Every
+    series.trajectories.stride steps from step 0, the state of the log's
+    cells goes to series.trajectories, if it has any.  A non-finite value
+    that a step wrote raises DivergenceError naming the step, species and
+    cell; the check reads only the box.
     """
     pending = snapshot_steps(series.requested_times, dt, t_end)
     n_steps = step_count(t_end, dt)
+    log = series.trajectories
+    cells = log.cells if log is not None else []
+    tracked = (slice(None), *map(np.array, zip(*cells))) if cells else None
     field = initial.copy()
     spare = Field.zeros(initial.grid, initial.species_count)
     step = 0
@@ -171,11 +183,13 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
         while pending and pending[0] <= step:
             series.append(step, t, field, box)
             pending.pop(0)
-        if sample is not None:
-            sample(step, t, field.values)
+        if tracked is not None and step % log.stride == 0:
+            log.append(t, field.values[tracked].T)
         if step >= n_steps:
             return series
-        box = advance(field, spare, t)
+        if box is not None:
+            box = _widen(box, field.grid.shape)
+        advance(field, spare, t, box)
         field, spare = spare, field
         if step == 0:
             grid.zero_dirichlet(spare)  # looked up per call: perfbench patches it

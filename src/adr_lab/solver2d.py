@@ -86,7 +86,7 @@ def run2d(
     report.require(override_stability, "Rx", "Ry", "Px", "Py")
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report)
 
-    def advance(old: Field, new: Field, t: float) -> None:
+    def advance(old: Field, new: Field, t: float, box: None) -> None:
         step2d(old, report, new)
 
     return run_steps(initial, advance, dt, t_end, series)

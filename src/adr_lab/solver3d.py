@@ -210,11 +210,6 @@ def _initial_box(initial: Field, network: ReactionNetwork | None) -> tuple[slice
     return tuple(box)
 
 
-def _grow(box: tuple[slice, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """box widened by one cell per side and clipped to the interior."""
-    return tuple(slice(max(s.start - 1, 1), min(s.stop + 1, n - 1)) for s, n in zip(box, shape))
-
-
 def _reaction_rate_warning(network: ReactionNetwork, initial: Field, dt: float) -> float:
     """Crude chemistry stiffness estimate: dt * max_j |dR_j/dc| from bounds.
 
@@ -266,9 +261,10 @@ def run3d(
     requested 2-D slice; no full field is kept.  When trajectory_cells is
     given (a list of interior (i, j, k) tuples), the per-species state of
     those cells is appended to series.trajectories every trajectory_stride
-    steps.  Each step runs its blocks on step_threads(nx, threads)
-    threads, this one and the rest from a pool that lives for the run; the
-    result does not depend on threads.
+    steps.  Each step computes only run_steps' active box, grown from
+    _initial_box, on step_threads(nx, threads) threads, this one and the
+    rest from a pool that lives for the run; the result does not depend on
+    threads.
     """
     grid = initial.grid
     if slice_axis not in ("x", "y", "z"):
@@ -290,24 +286,10 @@ def run3d(
     series = SnapshotSeries(requested_times=list(snapshot_times), stability=report,
                             chemistry_rate_scale=scale, trajectories=log,
                             plane=(slice(None),) * (axis + 1) + (slice_index,))
-    cell_idx = tuple(np.array([c[a] for c in log.cells]) for a in range(3))
-
-    def sample(step: int, t: float, values: np.ndarray) -> None:
-        if step % log.stride == 0:
-            log.append(t, values[:, cell_idx[0], cell_idx[1], cell_idx[2]].T)
-
     workers = step_threads(grid.shape[0], threads)
-    # Each step reaches one cell along each axis, so a cell outside the box
-    # grown by one per step has an all-zero neighbourhood and steps to +0.0:
-    # it is left as the buffer holds it, which is zero (see run_steps).  The
-    # initial box also bounds the reductions of the step-0 capture.
-    box = _initial_box(initial, network)
 
-    def advance(old: Field, new: Field, t: float) -> tuple[slice, ...]:
-        nonlocal box
-        box = _grow(box, grid.shape)
+    def advance(old: Field, new: Field, t: float, box: tuple[slice, ...]) -> None:
         step3d(old, report, network, t, dt, out=new, pool=pool, threads=workers, box=box)
-        return box
 
     report.require(override_stability, "combined", "cfl", "alpha")
     pool = None
@@ -316,8 +298,7 @@ def run3d(
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers - 1)
     try:
-        return run_steps(initial, advance, dt, t_end, series,
-                         sample=sample if log.cells else None, box=box)
+        return run_steps(initial, advance, dt, t_end, series, _initial_box(initial, network))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -26,8 +26,8 @@ from adr_lab import (
     sample_series,
 )
 from adr_lab import _native
-from adr_lab.snapshots import SnapshotSeries
-from adr_lab.solver3d import _grow, run3d
+from adr_lab.snapshots import SnapshotSeries, _widen
+from adr_lab.solver3d import run3d
 from oracles import (boundedness_check, compute_dbar, max_pairwise_distance, numpy_l2_norm,
                      numpy_sum_of_squares, trajectory_points, trajectory_rows)
 
@@ -49,10 +49,10 @@ def test_l2_norm_3d_weighting():
 
 
 def _growing_boxes(shape, start, count):
-    """count boxes from start, each grown as run3d grows its box after a step."""
+    """count boxes from start, each widened as run_steps widens its box before a step."""
     boxes = [start]
     for _ in range(count - 1):
-        boxes.append(_grow(boxes[-1], shape))
+        boxes.append(_widen(boxes[-1], shape))
     return boxes
 
 
@@ -156,6 +156,17 @@ def test_boxed_capture_allocates_no_full_field_temporary():
     assert series.maxima[0].tobytes() == values.max(axis=(1, 2, 3)).tobytes()
     assert series.minima[0].tobytes() == values.min(axis=(1, 2, 3)).tobytes()
     assert series.l2_norms[0].hex() == numpy_l2_norm(Field(grid, values)).hex()
+
+    # one species negative over the whole interior: the first negative cell
+    # is found without an index row for each of the 59,319 flagged cells
+    values = np.zeros((3, *grid.shape))
+    values[0, 20, 20, 20] = 1.0
+    values[1, 1:-1, 1:-1, 1:-1] = rng.uniform(-1.0, -0.5, (39, 39, 39))
+    series, box, peak = _traced_step0_capture(Field(grid, values), None)
+    assert box == (slice(1, 40),) * 3
+    assert peak < values.nbytes / 4, (peak, values.nbytes)
+    assert series.negatives[0] == {"species": 1, "cell": (1, 1, 1),
+                                   "value": float(values.min())}
 
 
 def test_sum_of_squares_matches_numpy_at_every_size_bitwise():

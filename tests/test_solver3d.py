@@ -784,7 +784,12 @@ def test_box_run_equals_whole_interior_steps_bitwise(monkeypatch, name, threads)
     got, boxes, _ = _box_run(init, network, 8, threads)
     want = _whole_interior_run(init, network, 8)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-    assert boxes[0] is not None
+    # step n gets the initial box widened by n + 1 cells per side and clipped
+    # to the interior, no wider and no narrower; the initial boxes lie inside
+    # the interior, reach the boundary, are the whole grid or are empty
+    start = solver3d._initial_box(init, network)
+    assert boxes == [tuple(slice(max(s.start - n - 1, 1), min(s.stop + n + 1, size - 1))
+                           for s, size in zip(start, init.grid.shape)) for n in range(8)]
 
 
 def _whole_field_positivity(values):
