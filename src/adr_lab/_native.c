@@ -56,41 +56,43 @@ void adr_step3d_block(const double *restrict old, double *restrict new,
             }
 }
 
-/* Write the reaction rates of a block of a field, geom[0] species of
- * geom[1] x geom[2] rows of geom[3] cells, from conc to out, which do not
- * overlap: cell z of row (a, b) of species s lies at
- * s geom[4] + a geom[5] + b geom[6] + z in conc and at
- * s geom[7] + a geom[8] + b geom[9] + z in out.  loss and sto are the
- * C-contiguous (species, reactions) loss exponents and gain - loss, h the
- * rates h_k(t), and g a buffer of 2 geom[3] doubles.  Row by row, every
- * species starts at 0.0; then reaction by reaction g is h_k times the
- * first factor, then times each further one, a power c^l being
- * c * c * ... * c first, and each species the reaction changes by v takes
- * acc + g, acc - g or acc + v g.  These are the operations of the numpy
- * form, so a species that no reaction changes keeps 0.0 and the first
- * change of a species is 0.0 + g, 0.0 - g or 0.0 + v g.
+/* Write the reaction rates of the cells of x-planes [lo, hi), y in
+ * [geom[4], geom[5]) and z in [geom[6], geom[7]) of all geom[0] species
+ * from conc to out, read by adr_step3d_block's geometry and offsets as its
+ * old and new.  loss and sto are the C-contiguous (species, reactions) loss
+ * exponents and gain - loss, h the rates h_k(t), and g a buffer of at
+ * least 2 (geom[7] - geom[6]) doubles.  Row by row, every species starts
+ * at 0.0; then reaction by reaction g is h_k times the first factor, then
+ * times each further one, a power c^l being c * c * ... * c first, and
+ * each species the reaction changes by v takes acc + g, acc - g or
+ * acc + v g.  These are the operations of the numpy form, so a species
+ * that no reaction changes keeps 0.0 and the first change of a species is
+ * 0.0 + g, 0.0 - g or 0.0 + v g.
  */
 void adr_rates_block(const double *restrict conc, double *restrict out,
-                     const int64_t *geom, int64_t reactions, const int64_t *loss,
-                     const int64_t *sto, const double *h, double *restrict g)
+                     const int64_t *geom, int64_t lo, int64_t hi, int64_t reactions,
+                     const int64_t *loss, const int64_t *sto, const double *h,
+                     double *restrict g)
 {
-    const int64_t species = geom[0], n = geom[3];
+    const int64_t species = geom[0], ny = geom[2], nz = geom[3], os = geom[1] * ny * nz;
+    const int64_t y0 = geom[4], y1 = geom[5], z0 = geom[6], n = geom[7] - z0;
     double *restrict f = g + n;
 
-    for (int64_t a = 0; a < geom[1]; a++)
-        for (int64_t b = 0; b < geom[2]; b++) {
-            const double *c = conc + a * geom[5] + b * geom[6];
-            double *o = out + a * geom[8] + b * geom[9];
+    for (int64_t a = lo; a < hi; a++)
+        for (int64_t b = y0; b < y1; b++) {
+            const int64_t row = (a * ny + b) * nz + z0;
+            const double *c = conc + row;
+            double *o = out + row;
             for (int64_t s = 0; s < species; s++)
                 for (int64_t z = 0; z < n; z++)
-                    o[s * geom[7] + z] = 0.0;
+                    o[s * os + z] = 0.0;
             for (int64_t k = 0; k < reactions; k++) {
                 int first = 1;
                 for (int64_t s = 0; s < species; s++) {
                     const int64_t l = loss[s * reactions + k];
                     if (l == 0)
                         continue;
-                    const double *x = c + s * geom[4];
+                    const double *x = c + s * os;
                     if (l > 1) {
                         for (int64_t z = 0; z < n; z++)
                             f[z] = x[z] * x[z];
@@ -112,7 +114,7 @@ void adr_rates_block(const double *restrict conc, double *restrict out,
                         g[z] = h[k];
                 for (int64_t s = 0; s < species; s++) {
                     const int64_t v = sto[s * reactions + k];
-                    double *acc = o + s * geom[7];
+                    double *acc = o + s * os;
                     if (v == 1)
                         for (int64_t z = 0; z < n; z++)
                             acc[z] = acc[z] + g[z];

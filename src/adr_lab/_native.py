@@ -1,14 +1,15 @@
 """The package's compiled library: _native.c, built on first use.
 
 It holds the kernels of the 3-D step (solver3d) and of the 2-D step
-(solver2d), the reaction rates of a block of a field
-(chemistry.reaction_rates_field), the sum of the 2-D series at the grid
-nodes (analytic2d.sample_series), the sum of squares of a field under its
-box (diagnostics.l2_norm) and the formatter of every CSV line, the rows of
-float64 tables with marked integer columns (cli.write_csv).  So every mode
-needs it.  The library is built by COMPILER the first time one of
-them is needed, never at import, into one hash-named file beside the
-package's bytecode; a missing compiler is a ConfigurationError.
+(solver2d), the reaction rates of a box of a 3-D field, read by the 3-D
+step's layout and block geometry (chemistry.reaction_rates_field), the
+sum of the 2-D series at the grid nodes (analytic2d.sample_series), the
+sum of squares of a field under its box (diagnostics.l2_norm) and the
+formatter of every CSV line, the rows of float64 tables with marked
+integer columns (cli.write_csv).  So every mode needs it.  The library
+is built by COMPILER the first time one of them is needed, never at
+import, into one hash-named file beside the package's bytecode; a missing
+compiler is a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.adr_step3d_block.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2 + [ctypes.c_int]
     lib.adr_step3d_block.restype = None
-    lib.adr_rates_block.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + \
+    lib.adr_rates_block.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + \
         [ctypes.c_void_p] * 4
     lib.adr_rates_block.restype = None
     lib.adr_step2d.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_double] * 5

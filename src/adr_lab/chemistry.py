@@ -159,47 +159,42 @@ class ReactionNetwork:
 
 def reaction_rates_field(
     network: ReactionNetwork, t: float, conc: np.ndarray,
-    out: np.ndarray | None = None, offset: tuple[int, ...] | None = None,
+    out: np.ndarray | None = None, box: tuple[slice, slice, slice] | None = None,
 ) -> np.ndarray:
-    """The rates R_j(t, c) of every cell of a block of a field, conc shape (s, *block).
+    """The rates R_j(t, c) of the cells of box of a 3-D field, conc its (s, nx, ny, nz) values.
 
-    offset is the grid index of the block's first cell (the origin when
-    None); sources registered at cells inside the block are applied there,
-    after the reactions.  The rates go to out when given, else to a new
-    array, which is returned.  The compiled library (see _native.library,
-    which raises ConfigurationError without a compiler) computes them row
-    by row along the block's last axis, without the GIL, by the operations
-    of the numpy form numpy_reaction_rates_field in tests/oracles.py in
-    their order, so with its bytes: g_kappa = h_kappa(t) times each factor
-    c_nu ** loss in turn, a power multiplied out left to right first; a
-    species that no reaction changes gets 0.0.  An overflow is left in the
-    result: the time loop's finite check reports it with its step, species
-    and cell.  Raises InputError unless conc and out are aligned float64
-    arrays of one shape with 1 to 3 block axes, a unit stride on the last
-    one, that share no memory.
+    box is three slices of step 1 (None: the whole grid), resolved as
+    solver3d.step3d resolves its box.  The rates of the cells it covers,
+    and no others, go to out when given, else to a new zero-filled array,
+    which is returned; a source is added at its grid cell, after the
+    reactions, when that cell lies inside box.  The compiled library (see
+    _native.library, which raises ConfigurationError without a compiler)
+    reads conc as the 3-D step kernel reads a block and computes the rates
+    row by row along z, without the GIL, by the operations of the numpy
+    form numpy_reaction_rates_field in tests/oracles.py in their order, so
+    with its bytes: g_kappa = h_kappa(t) times each factor c_nu ** loss in
+    turn, a power multiplied out left to right first; a species that no
+    reaction changes gets 0.0.  An overflow is left in the result: the time
+    loop's finite check reports it with its step, species and cell.  Raises
+    InputError unless conc and out pass _native.check_step_buffers, the
+    layout check of both step kernels, and box is three slices of step 1.
     """
     h = network.rate_values(t)
-    out = np.empty(conc.shape) if out is None else out
-    views = (conc, out)
-    block = conc.shape[1:]
-    if (out.shape != conc.shape or not 1 <= len(block) <= 3 or np.may_share_memory(conc, out)
-            or not all(a.dtype == np.float64 and a.flags.aligned and a.strides[-1] == 8
-                       for a in views)):
-        raise InputError("conc and out must be aligned float64 arrays of one shape with 1 to 3 "
-                         "block axes, a unit stride on the last, that share no memory; got "
-                         f"shapes {conc.shape}, {out.shape}")
-    # the kernel reads 3 block axes: length-1 axes of stride 0 go before the block's
-    c, o = (a[(slice(None),) + (None,) * (3 - len(block))] for a in views)
-    geom = np.array([*c.shape, *c.strides[:3], *o.strides[:3]], dtype=np.int64)
-    geom[4:] //= 8
+    out = np.zeros(conc.shape) if out is None else out
+    _native.check_step_buffers(conc, out)
+    box = tuple(slice(*s.indices(n)) for s, n in zip(box or (slice(None),) * 3, conc.shape[1:]))
+    if conc.ndim != 4 or len(box) != 3 or any(s.step != 1 for s in box):
+        raise InputError(f"expected (s, nx, ny, nz) values and three slices of step 1, got "
+                         f"shape {conc.shape} and box {box}")
+    xs, ys, zs = box
+    geom = np.array([*conc.shape, ys.start, ys.stop, zs.start, zs.stop], dtype=np.int64)
     loss, sto = network._rate_tables
-    scratch = np.empty(2 * block[-1])
+    scratch = np.empty(2 * conc.shape[3])
     _native.library().adr_rates_block(conc.ctypes.data, out.ctypes.data, geom.ctypes.data,
-                                      network.reaction_count, loss.ctypes.data,
-                                      sto.ctypes.data, h.ctypes.data, scratch.ctypes.data)
-    origin = offset or (0,) * len(block)
+                                      xs.start, xs.stop, network.reaction_count,
+                                      loss.ctypes.data, sto.ctypes.data, h.ctypes.data,
+                                      scratch.ctypes.data)
     for src in network.sources:
-        local = tuple(i - first for i, first in zip(src.cell, origin))
-        if all(0 <= i < n for i, n in zip(local, block)):
-            out[(src.species,) + local] += src.rate
+        if all(s.start <= i < s.stop for i, s in zip(src.cell, box)):
+            out[(src.species, *src.cell)] += src.rate
     return out

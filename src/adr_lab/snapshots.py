@@ -141,7 +141,9 @@ def _first(mask: np.ndarray, box) -> tuple[int, tuple[int, ...]]:
 
 
 def _widen(box: tuple[slice, ...], shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """box widened by one cell per side and clipped to the interior of shape."""
+    """box widened by one cell per side and clipped to the interior of shape; empty stays empty."""
+    if any(s.start >= s.stop for s in box):  # no cell to reach from
+        return (slice(1, 1),) * len(shape)
     return tuple(slice(max(s.start - 1, 1), min(s.stop + 1, n - 1)) for s, n in zip(box, shape))
 
 
@@ -157,12 +159,13 @@ def run_steps(initial: Field, advance, dt: float, t_end: float,
     still reads, is zeroed once when it first becomes the spare.  box,
     per-axis slices of the grid outside which every value of initial is
     +0.0 (None: the whole grid), is the active box.  Before each step the
-    loop widens it by one cell per side, clipped to the interior, so from
-    the first step on it never shrinks.  A nearest-neighbour stencil with
-    pointwise chemistry reaches one cell per side and step, so a cell
-    outside the widened box has an all-zero neighbourhood and steps to
-    +0.0, which new already holds there: new starts as zeros and then
-    holds the state from two steps back, zero outside that step's box.
+    loop widens it by one cell per side, clipped to the interior (an empty
+    box stays empty), so from the first step on it never shrinks.  A
+    nearest-neighbour stencil with pointwise chemistry reaches one cell per
+    side and step, so a cell outside the widened box has an all-zero
+    neighbourhood and steps to +0.0, which new already holds there: new
+    starts as zeros and then holds the state from two steps back, zero
+    outside that step's box.
     Each requested snapshot goes to series.append as the live field, with
     the box of the step that wrote it (box itself at step 0).  Every
     series.trajectories.stride steps from step 0, the state of the log's

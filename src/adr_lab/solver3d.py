@@ -120,9 +120,7 @@ def _advance_blocks(old: np.ndarray, new: np.ndarray, todo: deque, box: tuple, a
         except IndexError:
             return
         if network is not None:
-            inner = (slice(None), slice(lo, hi), ys, zs)
-            reaction_rates_field(network, t, old[inner], out=new[inner],
-                                 offset=(lo, ys.start, zs.start))
+            reaction_rates_field(network, t, old, new, (slice(lo, hi), ys, zs))
         kernel(old.ctypes.data, new.ctypes.data, geom.ctypes.data, weights.ctypes.data,
                lo, hi, network is not None)
 

@@ -167,8 +167,7 @@ def numpy_advance_blocks(old: np.ndarray, new: np.ndarray, todo, box: tuple, adv
             return
         inner = (slice(None), slice(lo, hi), ys, zs)
         if network is not None:
-            numpy_reaction_rates_field(network, t, old[inner], out=new[inner],
-                                       offset=(lo, ys.start, zs.start))
+            numpy_reaction_rates_field(network, t, old, new, (slice(lo, hi), ys, zs))
         c, o = old, new[inner]
         centre = c[inner]
         lower = (c[:, lo - 1:hi - 1, ys, zs], c[:, lo:hi, ym, zs], c[:, lo:hi, ys, zm])
@@ -241,25 +240,25 @@ def _add_rates(network: ReactionNetwork, h: np.ndarray, conc: np.ndarray,
 
 def numpy_reaction_rates_field(
     network: ReactionNetwork, t: float, conc: np.ndarray,
-    out: np.ndarray | None = None, offset: tuple[int, ...] | None = None,
+    out: np.ndarray | None = None, box: tuple[slice, slice, slice] | None = None,
 ) -> np.ndarray:
     """chemistry.reaction_rates_field in numpy, one whole-block operation per term.
 
-    Species that no reaction changes get 0.0; the others sum their terms
-    in _add_rates' order, then the sources inside the block are added, one
-    at a time.  The compiled rates must give the same bytes.
+    Over the cells of box (None: the whole grid) of the (s, nx, ny, nz)
+    values, species that no reaction changes get 0.0; the others sum their
+    terms in _add_rates' order, then the sources inside box are added, one
+    at a time.  Cells outside box are not written; out=None gives a
+    zero-filled array.  The compiled rates must give the same bytes.
     """
     h = network.rate_values(t)
-    out = np.empty_like(conc) if out is None else out
-    sto = network.stoichiometry
-    out[~sto.any(axis=1)] = 0.0  # species that no reaction changes
-    block = conc.shape[1:]
-    _add_rates(network, h, conc, out, np.empty(block))
-    origin = offset or (0,) * len(block)
+    out = np.zeros_like(conc) if out is None else out
+    box = tuple(slice(*s.indices(n)) for s, n in zip(box or (slice(None),) * 3, conc.shape[1:]))
+    c, o = conc[(slice(None), *box)], out[(slice(None), *box)]
+    o[~network.stoichiometry.any(axis=1)] = 0.0  # species that no reaction changes
+    _add_rates(network, h, c, o, np.empty(c.shape[1:]))
     for src in network.sources:
-        local = tuple(i - first for i, first in zip(src.cell, origin))
-        if all(0 <= i < n for i, n in zip(local, block)):
-            out[(src.species,) + local] += src.rate
+        if all(s.start <= i < s.stop for i, s in zip(src.cell, box)):
+            out[(src.species, *src.cell)] += src.rate
     return out
 
 

@@ -199,13 +199,12 @@ TINY, HUGE = 5e-324, 1.7976931348623157e308
 CONCENTRATIONS = st.sampled_from([0.0, -0.0, TINY, 1e-310, 1e-300, 1.0, 3.0, 1e154, 1e300,
                                   HUGE, math.inf, -math.inf, math.nan]) | st.floats()
 RATE_VALUES = st.sampled_from([0.0, TINY, 1e-300, 1.0, 2.5, 1e200, HUGE]) | st.floats(0.0, HUGE)
-# the bits a view holds before the rates are written to it: a tiny, finite value
+# the bits out holds before the rates are written to it: a tiny, finite value
 STALE = 0x0123456789ABCDEF
 
 
-def _block_view(parent: np.ndarray, block, steps) -> np.ndarray:
-    """The (s, *block) view of parent that starts one cell in and takes every steps-th cell."""
-    return parent[(slice(1, None),) + tuple(slice(1, 1 + n * k, k) for n, k in zip(block, steps))]
+def _stale(shape) -> np.ndarray:
+    return np.full(shape, STALE, dtype=np.uint64).view(np.float64)
 
 
 @settings(max_examples=400, deadline=None)
@@ -218,32 +217,25 @@ def test_compiled_rates_equal_the_numpy_oracle_bitwise(data):
                      max_size=s).map(lambda rows: np.array(rows, dtype=int).reshape(s, r))
     loss, gain = data.draw(table), data.draw(table)
     rates = [data.draw(RATE_VALUES.map(ConstantRate) | st.just(K1)) for _ in range(r)]
-    block = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    offset = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(block),
-                                      max_size=len(block))))
-    cells = st.tuples(*(st.integers(o - 1, o + n) for o, n in zip(offset, block)))
+    # a box of 0 to 5 cells per axis anywhere inside a C-contiguous field
+    shape = data.draw(st.tuples(*[st.integers(1, 6)] * 3))
+    ends = [sorted(data.draw(st.tuples(*[st.integers(0, n)] * 2))) for n in shape]
+    box = tuple(slice(lo, hi) for lo, hi in ends)
+    cells = st.tuples(*(st.integers(lo - 1, hi) for lo, hi in ends))
     sources = data.draw(st.lists(st.builds(PointSource, st.integers(0, s - 1), cells,
                                            st.floats(0.0, 10.0) | st.sampled_from([TINY, HUGE])),
                                  max_size=3))
     net = ReactionNetwork(species=tuple("ABCD"[:s]), loss=loss, gain=gain, rates=rates,
                           sources=sources)
     t = data.draw(st.floats(0.0, 2 * DAY))
-    # blocks are strided views of larger buffers, conc and out each in their own layout
-    steps = [tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(block) - 1,
-                                      max_size=len(block) - 1))) + (1,) for _ in range(2)]
-    conc = _block_view(np.zeros((s + 1, *(n * k + 2 for n, k in zip(block, steps[0])))),
-                       block, steps[0])
     pool = data.draw(st.lists(CONCENTRATIONS, min_size=1, max_size=12))
-    conc[...] = np.resize(np.array(pool), conc.shape)
+    conc = np.resize(np.array(pool), (s, *shape))
     outs = []
     for rates_field in (reaction_rates_field, numpy_reaction_rates_field):
-        parent = np.full((s + 1, *(n * k + 2 for n, k in zip(block, steps[1]))), STALE,
-                         dtype=np.uint64).view(np.float64)
+        out = _stale(conc.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            returned = rates_field(net, t, conc, out=_block_view(parent, block, steps[1]),
-                                   offset=offset)
-        assert np.shares_memory(returned, parent)
-        outs.append(parent)
+            assert rates_field(net, t, conc, out=out, box=box) is out
+        outs.append(out)
     # Every value that is not NaN has the oracle's bits.  A NaN's sign and payload are not
     # pinned: when both operands of an add are NaN, x86 returns one of them, and neither
     # numpy's loops nor the compiler fix the operand order of an add; repr writes either
@@ -251,15 +243,29 @@ def test_compiled_rates_equal_the_numpy_oracle_bitwise(data):
     nan = np.isnan(outs[0])
     assert (np.isnan(outs[1]) == nan).all()
     assert (outs[0].view(np.uint64)[~nan] == outs[1].view(np.uint64)[~nan]).all()
+    outside = np.ones(conc.shape, dtype=bool)
+    outside[(slice(None), *box)] = False
+    assert (outs[0].view(np.uint64)[outside] == STALE).all()
+
+
+def test_compiled_rates_over_an_empty_box_write_nothing():
+    # the source cell lies in the box's y and z ranges, but x in [2, 2) holds no cell
+    net = bundled_ozone(k2=1e-3, no_emission=5.0, cell=(2, 3, 4))
+    conc = np.random.default_rng(8).uniform(0.0, 2.0, size=(3, 4, 5, 6))
+    for box in [(slice(2, 2), slice(None), slice(None)), (slice(None), slice(4, 2), slice(None))]:
+        out = _stale(conc.shape)
+        assert reaction_rates_field(net, NOON, conc, out=out, box=box) is out
+        assert (out.view(np.uint64) == STALE).all()
+        assert not reaction_rates_field(net, NOON, conc, box=box).view(np.uint64).any()
 
 
 def test_compiled_rates_keep_overflow_subnormals_and_nan():
     # 2A -> B at rate 1e-10: (1e300 * 1e300) overflows, (1e-150 * 1e-150) * 1e-10 is subnormal
     net = ReactionNetwork(species=("A", "B"), loss=np.array([[2], [0]]),
                           gain=np.array([[0], [1]]), rates=(ConstantRate(1e-10),), sources=())
-    conc = np.array([[1e300, 1e-150, 0.0, math.nan], [1.0] * 4])
+    conc = np.array([[1e300, 1e-150, 0.0, math.nan], [1.0] * 4]).reshape(2, 1, 1, 4)
     g = [math.inf, 1e-10 * (1e-150 * 1e-150), 0.0, math.nan]
-    rates = reaction_rates_field(net, 0.0, conc)
+    rates = reaction_rates_field(net, 0.0, conc).reshape(2, 4)
     np.testing.assert_array_equal(rates, [[0.0 + -2.0 * x for x in g], g])
     assert 0.0 < rates[1, 1] < 2.2250738585072014e-308
     assert not np.signbit(rates[:, 2]).any()
@@ -268,12 +274,19 @@ def test_compiled_rates_keep_overflow_subnormals_and_nan():
 def test_compiled_rates_reject_a_layout_they_cannot_read():
     net = bundled_ozone(k2=1e-3)
     conc = np.ones((3, 4, 5, 6))
-    bad = [(conc[..., ::2], None), (conc.astype(np.float32), None), (conc[:, 0, 0, 0], None),
-           (np.ones((3, 2, 2, 2, 2)), None), (conc, conc), (conc, np.empty((3, 4, 5, 5))),
-           (conc[:, :3], conc[:, 1:])]
-    for values, out in bad:
-        with pytest.raises(InputError, match="aligned float64 arrays of one shape"):
+    raw = np.zeros(conc.size + 5)
+    layout = [(conc[..., ::2], None), (conc.astype(np.float32), None), (conc, conc),
+              (raw[:-5].reshape(conc.shape), raw[5:].reshape(conc.shape)),
+              (conc, np.empty((3, 4, 5, 5)))]
+    for values, out in layout:
+        with pytest.raises(InputError, match="aligned, C-contiguous float64 arrays of one shape"):
             reaction_rates_field(net, NOON, values, out=out)
+    geometry = [(np.ones((3, 4, 5)), None), (np.ones((3, 2, 2, 2, 2)), None),
+                (conc, (slice(0, 4, 2), slice(None), slice(None))),
+                (conc, (slice(None), slice(None)))]
+    for values, box in geometry:
+        with pytest.raises(InputError, match="three slices of step 1"):
+            reaction_rates_field(net, NOON, values, box=box)
 
 
 def test_classify_H():

@@ -1,8 +1,10 @@
 """The compiled library: its build and load, and the CSV formatter's repr contract."""
 
+import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -167,6 +169,28 @@ def test_library_source_compiles_without_warnings(tmp_path):
                            str(_native._SOURCE), "-lm"], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# the ctypes type of each C type the library's exported functions take or return
+C_TYPES = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+           "double": ctypes.c_double}
+
+
+def test_every_exported_function_has_its_ctypes_signature():
+    # a C prototype and its ctypes signature can drift apart without an error: every
+    # non-static adr_* function of the source must have argtypes of its parameters, one
+    # c_void_p per pointer, and its restype set in library()
+    source = _native._SOURCE.read_text()
+    found = re.findall(r"^(void|int|int64_t|double) (adr_\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {name for _, name, _ in found} == {
+        "adr_step3d_block", "adr_rates_block", "adr_step2d", "adr_sample_series",
+        "adr_sum_squares", "adr_format_rows"}
+    lib = _native.library()
+    for returns, name, params in found:
+        want = [ctypes.c_void_p if "*" in p else C_TYPES[p.split()[-2]]
+                for p in params.split(",")]
+        assert list(getattr(lib, name).argtypes) == want, name
+        assert getattr(lib, name).restype is C_TYPES[returns], name
 
 
 def _lines(rows, integer=()):

@@ -786,10 +786,35 @@ def test_box_run_equals_whole_interior_steps_bitwise(monkeypatch, name, threads)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     # step n gets the initial box widened by n + 1 cells per side and clipped
     # to the interior, no wider and no narrower; the initial boxes lie inside
-    # the interior, reach the boundary, are the whole grid or are empty
+    # the interior, reach the boundary or are the whole grid.  An empty one
+    # stays empty: every step gets no cell
     start = solver3d._initial_box(init, network)
-    assert boxes == [tuple(slice(max(s.start - n - 1, 1), min(s.stop + n + 1, size - 1))
-                           for s, size in zip(start, init.grid.shape)) for n in range(8)]
+    if name == "all-zero":
+        assert start == (slice(0, 0),) * 3 and boxes == [(slice(1, 1),) * 3] * 8
+    else:
+        assert boxes == [tuple(slice(max(s.start - n - 1, 1), min(s.stop + n + 1, size - 1))
+                               for s, size in zip(start, init.grid.shape)) for n in range(8)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_all_zero_run_steps_no_block(monkeypatch, threads):
+    # all +0.0, no source and no zero-order reaction: nothing can become
+    # non-zero, so no step takes a block of planes from its queue
+    monkeypatch.setattr(solver3d, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(solver3d, "BLOCK_PLANES", 3)
+    popped = []
+
+    class Counted(solver3d.deque):
+        def popleft(self):
+            popped.append(super().popleft())
+            return popped[-1]
+
+    monkeypatch.setattr(solver3d, "deque", Counted)
+    init, network = _box_case("all-zero")
+    series = run3d(init, BOX_PARAMS, network, BOX_DT, 8 * BOX_DT, [8 * BOX_DT],
+                   threads=threads)
+    assert series.steps == [8] and series.l2_norms == [0.0]
+    assert popped == []
 
 
 def _whole_field_positivity(values):
