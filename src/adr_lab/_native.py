@@ -9,7 +9,10 @@ formatter of every CSV line, the rows of float64 tables with marked
 integer columns (cli.write_csv).  So every mode needs it.  The library
 is built by COMPILER the first time one of them is needed, never at
 import, into one hash-named file beside the package's bytecode; a missing
-compiler is a ConfigurationError.
+compiler is a ConfigurationError.  On x86-64 with glibc the kernels of
+the steps, the rates and the series are built once per vector width
+(AVX-512F, AVX2, baseline) and the loader picks the widest the CPU runs;
+no target enables FMA, so every clone gives the same bytes.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def library() -> ctypes.CDLL:
     lib.adr_step2d.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_double] * 5
     lib.adr_step2d.restype = None
     lib.adr_sample_series.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + \
-        [ctypes.c_double, ctypes.c_void_p]
+        [ctypes.c_double] + [ctypes.c_void_p] * 4
     lib.adr_sample_series.restype = None
     lib.adr_sum_squares.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_void_p] * 3
     lib.adr_sum_squares.restype = ctypes.c_double

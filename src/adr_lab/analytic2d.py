@@ -173,15 +173,32 @@ def sample_series(sol: SeriesSolution, grid: Grid, t: float) -> Field:
     # one np.sin call per mode, as ever: a vectorised sin may round by position
     sin_x = np.array([np.sin(m * np.pi * x) for m in range(1, sol.M + 1)])
     sin_y = np.array([np.sin(n * np.pi * y) for n in range(1, sol.N + 1)])
-    acc = np.empty(grid.shape)
-    tables = [a.ctypes.data for a in (sin_x, sin_y, *sol.terms)]
-    _native.library().adr_sample_series(*tables, sol.M * sol.N, *grid.shape, float(t),
-                                        acc.ctypes.data)
+    acc = _sum_terms(sol, sin_x, sin_y, t)
     gx, gy = (np.exp(sol.u / (2.0 * sol.k) * c) for c in (x, y))
     vals = acc * gx[:, None] * gy[None, :]
     if not np.isfinite(vals).all():
         raise NumericError(f"series sampling produced non-finite values at t={t}")
     return zero_dirichlet(Field(grid, vals[None, :, :]))
+
+
+def _sum_terms(sol: SeriesSolution, sin_x: np.ndarray, sin_y: np.ndarray,
+               t: float) -> np.ndarray:
+    """The (nx, ny) sums of the terms of sol at t over the float64 sine tables sin_x
+    (M, nx) and sin_y (N, ny), C-contiguous, by the compiled library.
+
+    The library skips a term's row where it provably changes no bit; it is
+    handed the largest |value| of each row of sin_y, +inf for each column of
+    sin_y that holds only zeros (else +0.0), and a buffer for a floor of the
+    |sums| of each row.
+    """
+    acc = np.empty((sin_x.shape[1], sin_y.shape[1]))
+    ymax = np.abs(sin_y).max(axis=1)
+    dead = np.where((sin_y != 0.0).any(axis=0), 0.0, np.inf)
+    floors = np.empty(sin_x.shape[1])
+    tables = [a.ctypes.data for a in (sin_x, sin_y, *sol.terms)]
+    _native.library().adr_sample_series(*tables, sol.M * sol.N, *acc.shape, float(t),
+                                        *(a.ctypes.data for a in (acc, ymax, dead, floors)))
+    return acc
 
 
 def coefficient_rows(sol: SeriesSolution) -> np.ndarray:

@@ -177,7 +177,8 @@ def reaction_rates_field(
     reaction changes gets 0.0.  An overflow is left in the result: the time
     loop's finite check reports it with its step, species and cell.  Raises
     InputError unless conc and out pass _native.check_step_buffers, the
-    layout check of both step kernels, and box is three slices of step 1.
+    layout check of both step kernels, box is three slices of step 1 and
+    every source's cell has three indices.
     """
     h = network.rate_values(t)
     out = np.zeros(conc.shape) if out is None else out
@@ -186,6 +187,8 @@ def reaction_rates_field(
     if conc.ndim != 4 or len(box) != 3 or any(s.step != 1 for s in box):
         raise InputError(f"expected (s, nx, ny, nz) values and three slices of step 1, got "
                          f"shape {conc.shape} and box {box}")
+    if {len(src.cell) for src in network.sources} - {3}:
+        raise InputError("every source cell of a 3-D field needs three indices")
     xs, ys, zs = box
     geom = np.array([*conc.shape, ys.start, ys.stop, zs.start, zs.stop], dtype=np.int64)
     loss, sto = network._rate_tables

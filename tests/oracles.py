@@ -67,21 +67,29 @@ def eval_series(sol: SeriesSolution, t: float, x: float, y: float) -> float:
     return value
 
 
-def numpy_sample_series(sol: SeriesSolution, grid, t: float) -> Field:
-    """sample_series with numpy summing the terms, a whole-grid term at a time.
+def numpy_series_sum(sol: SeriesSolution, sin_x: np.ndarray, sin_y: np.ndarray,
+                     t: float) -> np.ndarray:
+    """analytic2d._sum_terms in numpy: the terms of sol summed over the sine tables.
 
     For each term in term_order() it adds A_mn exp(lambda_mn t) times the
-    outer product of the mode's sines to the grid, starting from zeros, with
-    math.exp and eigenvalue() called term by term.  The compiled sum must
-    give the same bytes.
+    outer product of rows m-1 of sin_x and n-1 of sin_y to the grid,
+    starting from zeros, with math.exp and eigenvalue() called term by
+    term, and no term left out.  The compiled sum must give the same bytes.
     """
-    x, y = grid.coords()
-    sin_x = {m: np.sin(m * np.pi * x) for m in range(1, sol.M + 1)}
-    sin_y = {n: np.sin(n * np.pi * y) for n in range(1, sol.N + 1)}
-    acc = np.zeros(grid.shape)
+    acc = np.zeros((sin_x.shape[1], sin_y.shape[1]))
     for m, n in sol.term_order():
         coef = sol.A[m - 1, n - 1] * math.exp(sol.eigenvalue(m, n) * t)
-        acc += coef * np.outer(sin_x[m], sin_y[n])
+        acc += coef * np.outer(sin_x[m - 1], sin_y[n - 1])
+    return acc
+
+
+def numpy_sample_series(sol: SeriesSolution, grid, t: float) -> Field:
+    """sample_series with numpy summing the terms, a whole-grid term at a time
+    (numpy_series_sum), over the mode's sines at the grid's nodes."""
+    x, y = grid.coords()
+    sin_x = np.array([np.sin(m * np.pi * x) for m in range(1, sol.M + 1)])
+    sin_y = np.array([np.sin(n * np.pi * y) for n in range(1, sol.N + 1)])
+    acc = numpy_series_sum(sol, sin_x, sin_y, t)
     gx, gy = (np.exp(sol.u / (2.0 * sol.k) * c) for c in (x, y))
     return zero_dirichlet(Field(grid, (acc * gx[:, None] * gy[None, :])[None]))
 

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from adr_lab import (
     ConfigurationError,
     Grid,
+    SeriesSolution,
     build_series,
     default_quad_points,
     sample_series,
 )
-from adr_lab.analytic2d import coefficient_rows
-from oracles import eval_series, fourier_coefficient, numpy_sample_series
+from adr_lab.analytic2d import _sum_terms, coefficient_rows
+from oracles import eval_series, fourier_coefficient, numpy_sample_series, numpy_series_sum
 
 U, K = 5.0, 0.5
 SINE = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -111,6 +112,78 @@ def test_compiled_sampler_matches_numpy_oracle_bitwise(M, N, nx, ny, u, k, t):
     got = sample_series(sol, grid, t).values
     expected = numpy_sample_series(sol, grid, t).values
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _in_term_order(coefs, M: int, N: int, u: float = 1.0, k: float = 0.7) -> SeriesSolution:
+    """The series whose q-th term in term_order() has amplitude coefs[q]."""
+    A = np.zeros((M, N))
+    for (m, n), a in zip(SeriesSolution(u, k, M, N, A).term_order(), coefs, strict=True):
+        A[m - 1, n - 1] = a
+    return SeriesSolution(u, k, M, N, A)
+
+
+def _wide_magnitudes():
+    # signed amplitudes from 1e-300 to 1e300; a zero x row, x nodes and y columns of zeros
+    rng = np.random.default_rng(27)
+    coefs = rng.choice([-1.0, 1.0], 36) * 10.0 ** rng.uniform(-300, 300, 36)
+    sin_x, sin_y = rng.uniform(-1.0, 1.0, (6, 13)), rng.uniform(-1.0, 1.0, (6, 11))
+    sin_x[2] = 0.0
+    sin_x[:, [0, 7]] = 0.0
+    sin_y[:, [0, 6]] = 0.0
+    return _in_term_order(coefs, 6, 6), sin_x, sin_y
+
+
+def _cancellation():
+    # terms (1, 1) and (2, 1) cancel exactly: then 1e-300 terms change the sums again
+    rng = np.random.default_rng(28)
+    sin_x, sin_y = rng.uniform(-1.0, 1.0, (3, 9)), rng.uniform(-1.0, 1.0, (2, 8))
+    sin_x[1] = sin_x[0]
+    # in term order: (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)
+    return _in_term_order([0.75, 1e-300, -0.75, 1e-300, -3e-300, 0.0], 3, 2), sin_x, sin_y
+
+
+def _last_bit():
+    # increments of about 2^-53 and 2^-54 of the sums, of both signs, at and between powers
+    # of two: some change the last bit and some do not, so a skip rule without its margin
+    # leaves out an add that changes it
+    e = 1 + 2.0**-20
+    coefs = [1.0, -(2.0**-54) * e, 2.0**-54 * e, 2.0**-53 * e, 2.0**-56, -(2.0**-53) * e,
+             -1.5, 2.0**-54 * e, -(2.0**-55) * e, 2.0**-53, -(2.0**-54), 3 * 2.0**-54]
+    sin_x = np.array([[1.0, 0.75, -1.0, 0.0, 1.5, 1e-310, 2.0**-20]])
+    sin_y = np.ones((len(coefs), 5))
+    sin_y[:, 2] = 0.0
+    return _in_term_order(coefs, 1, len(coefs)), sin_x, sin_y
+
+
+def _overflow():
+    # 0 * inf products, sums that overflow to +-inf, inf - inf, and 0 * inf again where a
+    # table holds inf: NaN, which a row of a zero coefficient or x node must still receive
+    sin_x = np.array([[1.0, 4.0, 1e-300, 0.0, -2.0]])
+    sin_y = np.array([[1.0, 2.0, 1e308, 0.0]] + [[1.0, 2.0, 1e-10, 0.0]] * 4 +
+                     [[1.0, 2.0, math.inf, 0.0]])
+    coefs = [0.0, 1e308, 1e308, -1e308, 1.0, -1e-300]
+    return _in_term_order(coefs, 1, 6), sin_x, sin_y
+
+
+def _bundled_sines():
+    sol = build_series(SINE, UNDERFLOW["u"], UNDERFLOW["k"], M=40, N=40)
+    x, y = Grid((46, 46), (1.0, 1.0)).coords()
+    return (sol, np.array([np.sin(m * np.pi * x) for m in range(1, 41)]),
+            np.array([np.sin(n * np.pi * y) for n in range(1, 41)]))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.03, UNDERFLOW["t"]])
+@pytest.mark.parametrize("case", [_wide_magnitudes, _cancellation, _last_bit, _overflow,
+                                  _bundled_sines])
+def test_compiled_term_sum_equals_numpy_accumulation_bitwise(case, t):
+    # the raw sums, boundary nodes included: every add the compiled sum leaves out must be one
+    # that changes no bit, whatever the magnitudes, signs, zeros and non-finite sums
+    sol, sin_x, sin_y = case()
+    got = _sum_terms(sol, sin_x, sin_y, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = numpy_series_sum(sol, sin_x, sin_y, t)
+    assert got.shape == expected.shape == (sin_x.shape[1], sin_y.shape[1])
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
 
 
 def test_non_square_grid_samples_the_series_at_its_nodes():

@@ -259,6 +259,18 @@ def test_compiled_rates_over_an_empty_box_write_nothing():
         assert not reaction_rates_field(net, NOON, conc, box=box).view(np.uint64).any()
 
 
+@pytest.mark.parametrize("cell", [(1, 1), (1, 1, 1, 1)])
+def test_source_cell_of_another_length_is_an_input_error(cell):
+    # a (1, 1) cell once named a whole z row, cells outside the box included
+    net = ReactionNetwork(species=("A",), loss=np.array([[1]]), gain=np.array([[0]]),
+                          rates=(ConstantRate(0.5),), sources=(PointSource(0, cell, 5.0),))
+    conc = np.ones((1, 3, 3, 4))
+    out = _stale(conc.shape)
+    with pytest.raises(InputError, match="three indices"):
+        reaction_rates_field(net, 0.0, conc, out=out, box=(slice(1, 2),) * 3)
+    assert (out.view(np.uint64) == STALE).all()
+
+
 def test_compiled_rates_keep_overflow_subnormals_and_nan():
     # 2A -> B at rate 1e-10: (1e300 * 1e300) overflows, (1e-150 * 1e-150) * 1e-10 is subnormal
     net = ReactionNetwork(species=("A", "B"), loss=np.array([[2], [0]]),

@@ -8,13 +8,19 @@ import re
 import subprocess
 import sys
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from adr_lab import (Field, Grid, InputError, TransportParams, _native, cli, stability2d,
-                     stability3d, step2d, step3d)
+from adr_lab import (Field, Grid, InputError, TransportParams, _native, build_series, cli,
+                     sample_series, solver3d, stability2d, stability3d, step2d, step3d)
+from adr_lab.chemistry import reaction_rates_field
+from oracles import (bundled_ozone, numpy_advance_blocks, numpy_reaction_rates_field,
+                     numpy_sample_series, numpy_step2d)
 
 
 @pytest.fixture
@@ -169,6 +175,94 @@ def test_library_source_compiles_without_warnings(tmp_path):
                            str(_native._SOURCE), "-lm"], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# the attribute that builds one clone of a kernel per vector width
+CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+NOON = 12 * 3600.0
+
+
+def _cpu_flags() -> set[str]:
+    """The feature flags of the first CPU in /proc/cpuinfo; none where it cannot be read."""
+    try:
+        found = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        return set()
+    return set(found.group(1).split()) if found else set()
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.shape == expected.shape and (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("flags", [(), ("-mavx2",), ("-mavx512f",)])
+def test_every_clone_target_equals_the_oracles_bitwise(flags, empty_cache, monkeypatch, tmp_path):
+    # the loader runs the one clone this CPU picks, so each target is built alone here: the
+    # source without the attribute, the whole library compiled for that target
+    if not {f.removeprefix("-m") for f in flags} <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run code built with {flags}")
+    source = _native._SOURCE.read_text()
+    assert CLONES in source
+    assert re.findall(r"^VECTOR_CLONES\n\w+ (adr_\w+)\(", source, re.M) == [
+        "adr_step3d_block", "adr_rates_block", "adr_step2d", "adr_sample_series"]
+    (tmp_path / "_native.c").write_text(source.replace(CLONES, ""))
+    monkeypatch.setattr(_native, "_SOURCE", tmp_path / "_native.c")
+    monkeypatch.setattr(_native, "_FLAGS", (*_native._FLAGS, *flags))
+    _native.library.cache_clear()
+    assert Path(_native.library()._name).parent == empty_cache
+
+    # the 3-D step, with chemistry and without, over the interior and over a box whose rows
+    # end in a partial vector
+    shape = (3, 13, 10, 19)
+    grid = Grid(shape[1:], tuple(float(n - 1) for n in shape[1:]))
+    field = Field(grid, np.random.default_rng(61).uniform(0.5, 2.0, shape))
+    rep = stability3d(TransportParams(u=(0.3, 0.2, 0.1), k=(0.05, 0.06, 0.04)), grid, 0.5)
+    net = bundled_ozone(k2=2.0**-10, no_emission=5.0, cell=(3, 4, 5))
+    for network in (None, net):
+        for box in [None, (slice(2, 9), slice(3, 8), slice(4, 17))]:
+            steps = []
+            for advance in (solver3d._advance_blocks, numpy_advance_blocks):
+                monkeypatch.setattr(solver3d, "_advance_blocks", advance)
+                out = Field(grid, np.full(shape, -1.0))
+                steps.append(step3d(field, rep, network, NOON, 0.5, out=out, box=box).values)
+            assert _same_bits(*steps), (network, box)
+
+    # the reaction rates at noon and at night, over the grid and over a box
+    conc = np.random.default_rng(62).uniform(0.0, 2.0, (3, 9, 11, 21))
+    for t in (NOON, 0.0):
+        for box in [None, (slice(1, 8), slice(2, 9), slice(3, 20))]:
+            rates = [f(net, t, conc, out=np.full(conc.shape, -1.0), box=box)
+                     for f in (reaction_rates_field, numpy_reaction_rates_field)]
+            assert _same_bits(*rates), (t, box)
+
+    # the 2-D step
+    grid2 = Grid((13, 17), (1.0, 1.0))
+    field2 = Field(grid2, np.random.default_rng(63).uniform(0.0, 1.0, (2, 13, 17)))
+    rep2 = stability2d(TransportParams(u=(0.3, 0.2), k=(0.05, 0.05)), grid2, 0.5)
+    steps2 = [f(field2, rep2, Field(grid2, np.full((2, 13, 17), -1.0))).values
+              for f in (step2d, numpy_step2d)]
+    assert _same_bits(*steps2)
+
+    # the series, on the bundled compare grid and on a grid that is not square
+    sol = build_series(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), 5.0, 0.5, M=40, N=40)
+    for nodes in [(46, 46), (23, 19)]:
+        for t in (0.0, 0.05, 0.09):
+            fields = [f(sol, Grid(nodes, (1.0, 1.0)), t).values
+                      for f in (sample_series, numpy_sample_series)]
+            assert _same_bits(*fields), (nodes, t)
+
+
+def test_library_holds_no_fused_multiply_add():
+    # neither clone target enables FMA and -ffp-contract=off forbids contraction, so every
+    # multiply and add of every clone is a separate IEEE operation, rounded as numpy rounds it
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump is not installed")
+    listing = subprocess.run([objdump, "-d", _native.library()._name], capture_output=True,
+                             text=True, check=True).stdout
+    assert "<adr_step3d_block" in listing and "<adr_sample_series" in listing
+    fused = re.findall(r"\bvfn?m(?:add|sub)\w*", listing)
+    assert not fused, sorted(set(fused))
 
 
 # the ctypes type of each C type the library's exported functions take or return
